@@ -12,7 +12,7 @@
 //! **Open loop** (`--open-loop`): `--connections` bindings multiplexed
 //! over the reactor's event loops, with operations issued at a fixed
 //! aggregate `--rate` for `--duration-secs` regardless of completions —
-//! the connection-scaling workload the epoll transport exists for.
+//! the connection-scaling workload the epoll reactor exists for.
 //! Completions are recorded by callback; nothing blocks the issuers.
 //!
 //! ```text
@@ -49,10 +49,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use icg_apps::cli::{die, Flags};
-use icg_net::{SpecOp, SpecTcpConfig, TcpBinding, TcpConfig, TcpSpecBinding, Transport};
+use icg_net::{SpecOp, SpecTcpConfig, TcpBinding, TcpConfig, TcpSpecBinding};
 
 use correctables::spec::RegOp;
-use correctables::{Client, ConsistencyLevel, LevelSelection};
+use correctables::{Client, ConsistencyLevel, Error, LevelSelection};
 use parking_lot::Mutex;
 use quorumstore::{Key, StoreOp, Value};
 use rand::rngs::SmallRng;
@@ -74,7 +74,6 @@ const KNOWN: &[&str] = &[
     "seed",
     "no-preload",
     "allow-failures",
-    "transport",
     "open-loop",
     "connections",
     "rate",
@@ -87,7 +86,7 @@ const KNOWN: &[&str] = &[
 const USAGE: &str = "icg-loadgen --replicas ADDR,ADDR,... [--clients 4] [--ops 2000]
     [--keys 1000] [--write-ratio 0.1] [--mode icg|weak|strong] [--confirm]
     [--r 2] [--value-bytes 128] [--timeout-ms 2000] [--seed 42]
-    [--no-preload] [--allow-failures N] [--transport reactor|blocking]
+    [--no-preload] [--allow-failures N]
     [--open-loop --connections 1000 --rate 5000 --duration-secs 10]
     [--levels weak,update,causal,strong]
     [--bench-json FILE] [--bench-name NAME]
@@ -214,13 +213,6 @@ fn main() {
         "strong" => Mode::Strong,
         other => die(&format!("--mode must be icg|weak|strong, got '{other}'")),
     };
-    let transport = match flags.get_or("transport", "reactor").as_str() {
-        "reactor" => Transport::Reactor,
-        "blocking" => Transport::Blocking,
-        other => die(&format!(
-            "--transport must be reactor|blocking, got '{other}'"
-        )),
-    };
     let open_loop = flags.has("open-loop");
     let bench_json = flags.get_or("bench-json", "");
     // --levels NAMES selects the spec-store workload; each name must
@@ -258,7 +250,6 @@ fn main() {
         cfg.r_strong = r_strong;
         cfg.confirm = confirm;
         cfg.op_timeout = timeout;
-        cfg.transport = transport;
         // A freshly booted cluster may still be binding: retry the
         // initial dial for a few seconds before giving up, so scripts
         // can start replicas and loadgen back-to-back.
@@ -288,6 +279,27 @@ fn main() {
         }
         binding.shutdown();
         eprintln!("preloaded {keys} keys");
+    }
+
+    // A coordinator whose peer links are not up yet — the replicas just
+    // booted — fails quorum ops `Unavailable` at once. Wait for it to
+    // serve one strong read before starting the clock, so a run started
+    // the instant the replicas boot measures the meshed cluster. A
+    // cluster that never meshes still fails the run below.
+    if spec_levels.is_none() {
+        let binding = connect(client_id_base - 2);
+        let client = Client::new(binding.clone());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while let Err(Error::Unavailable(_)) = client
+            .invoke_strong(StoreOp::Read(Key::plain(0)))
+            .wait_final(timeout)
+        {
+            if Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        binding.shutdown();
     }
 
     let (samples, issued, failures, elapsed) = if let Some(levels) = &spec_levels {

@@ -1,8 +1,9 @@
 //! Connection-scaling soak: 10,000 concurrent client connections
 //! against a 3-replica reactor cluster, sustained under open-loop load.
 //!
-//! This is the workload the epoll transport exists for — the blocking
-//! engine would need 20k threads per replica to survive it. The test
+//! This is the workload the epoll reactor exists for — a
+//! thread-per-connection engine would need 20k threads per replica to
+//! survive it. The test
 //! runs the real binaries as subprocesses (`icg-replicad` holds 10k
 //! server-side sockets, `icg-loadgen` holds the 10k client-side ones;
 //! splitting them across processes keeps each under the fd rlimit).

@@ -3,11 +3,8 @@
 //! [`ReplicaCore`] is the replica's entire protocol brain: the storage
 //! map, the pending read/write tables, internal op-id minting, and the
 //! operation-deadline heap. It never touches a socket — every outbound
-//! message goes through the [`Egress`] trait, which the blocking
-//! transport implements over [`crate::transport::Outbound`] handles and
-//! the reactor implements over its event-loop connection table. Both
-//! transports therefore run byte-for-byte the same protocol; a
-//! semantics bug cannot exist in one and not the other.
+//! message goes through the [`Egress`] trait, which the reactor
+//! implements over its event-loop connection table.
 //!
 //! The protocol itself is documented in [`crate::server`]: simulated
 //! [`quorumstore::Replica`] semantics (preliminary flush, confirmation,
@@ -28,7 +25,7 @@ use crate::pump::Deadlines;
 use crate::wire::{LevelInfo, NetMsg, SpecOp, MAX_LEVELS, WIRE_VERSION};
 
 /// Where a replica's outbound messages go. The core never sees sockets;
-/// each transport maps these two calls onto its own connection plumbing.
+/// the transport maps these calls onto its connection plumbing.
 pub(crate) trait Egress {
     /// Sends `msg` on client connection `conn`. A connection that no
     /// longer exists drops the message silently (the client is gone;
@@ -37,6 +34,10 @@ pub(crate) trait Egress {
 
     /// Sends `msg` down every currently-live peer link.
     fn to_peers(&mut self, msg: &NetMsg);
+
+    /// How many peer links are live right now — the most peers a
+    /// request sent through [`Egress::to_peers`] can reach.
+    fn live_links(&self) -> usize;
 
     /// Convenience: wraps a version-1 store message for `to_client`.
     fn store_to_client(&mut self, conn: u64, msg: Msg) {
@@ -67,7 +68,7 @@ struct WriteSt {
 }
 
 /// Transport-agnostic replica protocol state. One instance per replica,
-/// owned by exactly one event-loop thread (blocking or reactor).
+/// owned by exactly one event-loop thread.
 pub(crate) struct ReplicaCore {
     /// This replica's id (LWW writer tiebreak + internal op-id client).
     id: u32,
@@ -284,12 +285,15 @@ impl ReplicaCore {
             return;
         }
 
-        let (internal, peer_op) = self.mint_internal();
         // Fan out to every peer and complete at the first R-1 responses —
-        // availability under a dead replica (see the module docs). Even
-        // when too few links are currently live to ever reach the
-        // quorum, the op stays pending: a peer may come back within the
-        // timeout, and the deadline converts it into OpFailed otherwise.
+        // availability under a dead replica (see the module docs). With
+        // fewer than R-1 links live the quorum is out of reach; fail at
+        // once rather than park the op until its deadline.
+        if net.live_links() + 1 < needed as usize {
+            Self::fail_unavailable(net, conn, client_op);
+            return;
+        }
+        let (internal, peer_op) = self.mint_internal();
         net.store_to_peers(Msg::PeerRead { op: peer_op, key });
         self.reads.insert(
             internal,
@@ -381,12 +385,17 @@ impl ReplicaCore {
         value: Value,
         w: u8,
     ) {
+        let acks_needed = w.saturating_sub(1).min(self.n_peers as u8);
+        if net.live_links() < acks_needed as usize {
+            // The write quorum is out of reach: fail before applying.
+            Self::fail_unavailable(net, conn, client_op);
+            return;
+        }
         let data = Versioned {
             value,
             version: self.now_version(),
         };
         self.store.apply(key, data.clone());
-        let acks_needed = w.saturating_sub(1).min(self.n_peers as u8);
         if acks_needed == 0 {
             // W = 1 (the paper's setting): acknowledge immediately,
             // propagate in the background.
@@ -413,6 +422,16 @@ impl ReplicaCore {
             },
         );
         self.arm(internal);
+    }
+
+    fn fail_unavailable(net: &mut impl Egress, conn: u64, op: OpId) {
+        net.store_to_client(
+            conn,
+            Msg::OpFailed {
+                op,
+                reason: FailReason::Unavailable,
+            },
+        );
     }
 
     fn peer_write_ack(&mut self, net: &mut impl Egress, peer_op: OpId) {

@@ -1,15 +1,12 @@
-//! Shared event-loop plumbing: a deadline heap plus the
-//! wait-for-event-or-next-deadline receive step.
-//!
-//! Both protocol loops in this crate (the replica server's and the
-//! client binding's) are the same shape — an mpsc event channel, a heap
-//! of operation deadlines, and a "handle whichever comes first" pump.
-//! This module owns that shape once so the lazy-discard and expiry
-//! logic cannot drift between the two.
+//! The operation-deadline heap every protocol handler in this crate
+//! shares: the replica core and both client bindings arm one deadline
+//! per operation, report the soonest live one as their loop's
+//! `next_deadline`, and fire the expired ones on tick. This module owns
+//! the lazy-discard and expiry logic once so it cannot drift between
+//! them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Instant;
 
 /// A min-heap of `(deadline, key)` pairs with lazy discarding of keys
@@ -60,36 +57,5 @@ impl<K: Ord + Copy> Deadlines<K> {
             self.heap.pop();
             expire(key);
         }
-    }
-}
-
-/// Outcome of one pump step.
-pub(crate) enum Step<E> {
-    /// An event arrived.
-    Event(E),
-    /// The given deadline passed with no event.
-    Expired,
-    /// Every sender hung up; the loop should exit.
-    Closed,
-}
-
-/// Waits for the next event or until `deadline`, whichever comes first.
-pub(crate) fn recv_step<E>(rx: &Receiver<E>, deadline: Option<Instant>) -> Step<E> {
-    match deadline {
-        Some(at) => {
-            let now = Instant::now();
-            if at <= now {
-                return Step::Expired;
-            }
-            match rx.recv_timeout(at - now) {
-                Ok(e) => Step::Event(e),
-                Err(RecvTimeoutError::Timeout) => Step::Expired,
-                Err(RecvTimeoutError::Disconnected) => Step::Closed,
-            }
-        }
-        None => match rx.recv() {
-            Ok(e) => Step::Event(e),
-            Err(_) => Step::Closed,
-        },
     }
 }

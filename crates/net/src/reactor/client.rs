@@ -1,19 +1,17 @@
-//! Client bindings multiplexed onto shared reactor loops.
+//! Quorum-store client bindings multiplexed onto shared reactor loops.
 //!
-//! Where the blocking engine spends a loop thread plus a reader/writer
-//! thread pair *per binding*, the reactor hosts thousands of bindings
-//! on one [`ClientReactor`]: a fixed set of event loops (bindings are
-//! assigned round-robin at creation) plus one dialer thread for the
-//! reconnects that must block. Each binding's state — its pending-op
-//! table, its connection, its failover cursor — lives on its loop
-//! thread; the [`crate::TcpBinding`] handle only injects commands.
+//! Thousands of bindings share one [`ClientReactor`]: a fixed set of
+//! event loops (bindings are assigned round-robin at creation) plus one
+//! dialer thread for the reconnects that must block. Each binding's
+//! state — its pending-op table, its connection, its failover cursor —
+//! lives on its loop thread; the [`crate::TcpBinding`] handle only
+//! injects commands.
 //!
-//! Failover matches the blocking engine observably: a dead coordinator
-//! fails every in-flight op `Unavailable`, and the next submission
-//! triggers a dial of the next address. The one mechanical difference
-//! is that the reactor dials *asynchronously* (the loop must keep
-//! serving its other bindings), so ops submitted during the dial are
-//! queued and sent on success instead of blocking the caller.
+//! Failover: a dead coordinator fails every in-flight op `Unavailable`,
+//! and the next submission triggers a dial of the next address. The
+//! loop dials *asynchronously* (it must keep serving its other
+//! bindings), so ops submitted during the dial are queued and sent on
+//! success instead of blocking the caller.
 
 use std::collections::HashMap;
 use std::io;
@@ -30,7 +28,7 @@ use quorumstore::messages::Msg;
 use quorumstore::types::{ReadKind, Versioned};
 use quorumstore::StoreOp;
 
-use crate::binding::{encode_submit, fail_all_pending, handle_reply, PendingOp, TcpConfig};
+use crate::binding::{encode_submit, handle_reply, PendingOp, TcpConfig};
 use crate::pump::Deadlines;
 use crate::wire::Reader;
 
@@ -145,14 +143,8 @@ impl ClientReactor {
         &self,
         cfg: TcpConfig,
     ) -> io::Result<(Arc<Mutex<SocketAddr>>, ReactorBinding)> {
-        let mut dialed = None;
-        for (idx, addr) in cfg.replicas.iter().enumerate() {
-            if let Ok(stream) = TcpStream::connect_timeout(addr, cfg.connect_timeout) {
-                dialed = Some((idx, *addr, stream));
-                break;
-            }
-        }
-        let Some((addr_idx, addr, stream)) = dialed else {
+        let Some((addr_idx, addr, stream)) = dial_first(&cfg.replicas, 0, cfg.connect_timeout)
+        else {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 "no replica in the list accepted a connection",
@@ -239,28 +231,32 @@ impl Drop for DeregisterGuard {
     }
 }
 
+/// One dial round: tries `replicas` in order starting at `start`,
+/// wrapping around once, and returns the first that accepts.
+fn dial_first(
+    replicas: &[SocketAddr],
+    start: usize,
+    timeout: Duration,
+) -> Option<(usize, SocketAddr, TcpStream)> {
+    let n = replicas.len();
+    (0..n).find_map(|attempt| {
+        let idx = (start + attempt) % n;
+        let addr = *replicas.get(idx)?;
+        let stream = TcpStream::connect_timeout(&addr, timeout).ok()?;
+        Some((idx, addr, stream))
+    })
+}
+
 /// The dialer thread: walks a binding's replica list one round per
 /// request (connecting is the one blocking operation the loops must
 /// not perform) and injects the outcome back into the binding's loop.
 fn dialer_loop(rx: Receiver<DialReq>, loops: Vec<Injector<ClientEv>>) {
     while let Ok(req) = rx.recv() {
-        let n = req.replicas.len();
-        let mut dialed = None;
-        for attempt in 0..n {
-            let idx = (req.start_idx + attempt) % n;
-            let Some(addr) = req.replicas.get(idx) else {
-                continue;
-            };
-            if let Ok(stream) = TcpStream::connect_timeout(addr, req.connect_timeout) {
-                dialed = Some((idx, stream));
-                break;
-            }
-        }
         let Some(inj) = loops.get(req.loop_idx) else {
             continue;
         };
-        match dialed {
-            Some((addr_idx, stream)) => inj.send(Cmd::Ev(ClientEv::DialOk {
+        match dial_first(&req.replicas, req.start_idx, req.connect_timeout) {
+            Some((addr_idx, _, stream)) => inj.send(Cmd::Ev(ClientEv::DialOk {
                 binding: req.binding,
                 stream,
                 addr_idx,
@@ -292,7 +288,9 @@ struct BState {
 
 impl BState {
     fn fail_all(&mut self, err: impl Fn() -> Error) {
-        fail_all_pending(&mut self.pending, err);
+        for (_, p) in self.pending.drain() {
+            p.upcall.fail(err());
+        }
         self.unsent.clear();
     }
 }
@@ -370,12 +368,6 @@ impl ClientHandler {
 
 impl Handler for ClientHandler {
     type Ev = ClientEv;
-
-    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
-
-    fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {
-        // Client loops have no listener.
-    }
 
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
         let Some(binding) = ctl.tag_of(conn) else {

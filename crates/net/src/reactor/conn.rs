@@ -7,9 +7,7 @@
 //! frames are *sliced* out of that buffer for decoding (the `Wire`
 //! codec reads from a borrowed `&[u8]`), and only the undecoded tail of
 //! a partial frame ever survives to the next readiness event — moved to
-//! the front of the buffer rather than reallocated. The blocking
-//! transport, by contrast, copies every frame into a per-frame scratch
-//! vector via `read_exact`.
+//! the front of the buffer rather than reallocated.
 //!
 //! The write path is the backpressure boundary. Frames enqueue as
 //! pre-encoded byte vectors and drain with `write_vectored` (one
@@ -51,7 +49,7 @@ pub(crate) enum CloseReason {
 }
 
 /// One step of the read-side frame extractor.
-pub(crate) enum Extract {
+pub enum Extract {
     /// No complete frame in the buffer; wait for more bytes.
     NeedMore,
     /// A complete frame body (version byte already checked and
@@ -67,8 +65,10 @@ pub(crate) enum Extract {
     Bad,
 }
 
-/// Examines the bytes at `buf[pos..]` for one complete frame.
-pub(crate) fn extract_frame(buf: &[u8], pos: usize) -> Extract {
+/// Examines the bytes at `buf[pos..]` for one complete frame. The
+/// header alone decides a bad length or version, so an oversize or
+/// foreign frame is rejected before any of its body is buffered.
+pub fn extract_frame(buf: &[u8], pos: usize) -> Extract {
     let Some(header) = pos.checked_add(4).and_then(|end| buf.get(pos..end)) else {
         return Extract::NeedMore;
     };
@@ -281,20 +281,33 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
+    use crate::wire::{from_bytes, NetMsg};
+    use quorumstore::types::{Key, OpId, ReadKind};
+    use quorumstore::Msg;
+    use simnet::NodeId;
 
-    fn frame_bytes(body: &[u8]) -> Vec<u8> {
+    fn msg(seq: u64) -> Msg {
+        Msg::ClientRead {
+            op: OpId {
+                client: NodeId(1),
+                seq,
+            },
+            key: Key::plain(3),
+            kind: ReadKind::Single { r: 1 },
+        }
+    }
+
+    fn frame_of<T: crate::wire::Wire>(m: &T) -> Vec<u8> {
         let mut f = Vec::new();
-        let len = (body.len() + 1) as u32;
-        f.extend_from_slice(&len.to_le_bytes());
-        f.push(WIRE_VERSION);
-        f.extend_from_slice(body);
+        encode_frame(m, &mut f);
         f
     }
 
     #[test]
     fn extract_handles_partial_and_complete_frames() {
-        let f = frame_bytes(b"hello");
-        // Every strict prefix wants more bytes.
+        let f = frame_of(&msg(1));
+        // Every strict prefix — a truncated frame — wants more bytes.
         for cut in 0..f.len() {
             match extract_frame(&f[..cut], 0) {
                 Extract::NeedMore => {}
@@ -305,13 +318,13 @@ mod tests {
             Extract::Frame {
                 body_start,
                 body_end,
-            } => assert_eq!(&f[body_start..body_end], b"hello"),
+            } => assert_eq!(from_bytes::<Msg>(&f[body_start..body_end]), Ok(msg(1))),
             _ => panic!("complete frame not recognized"),
         }
-        // Two frames back to back: the second parses from body_end - but
-        // body_end is where the *next header* begins.
+        // Two frames back to back: body_end is where the *next header*
+        // begins.
         let mut two = f.clone();
-        two.extend_from_slice(&frame_bytes(b"world"));
+        two.extend_from_slice(&frame_of(&msg(2)));
         let Extract::Frame { body_end, .. } = extract_frame(&two, 0) else {
             panic!("first frame");
         };
@@ -319,24 +332,46 @@ mod tests {
             Extract::Frame {
                 body_start,
                 body_end,
-            } => assert_eq!(&two[body_start..body_end], b"world"),
+            } => assert_eq!(from_bytes::<Msg>(&two[body_start..body_end]), Ok(msg(2))),
             _ => panic!("second frame not recognized"),
         }
+        // Each message travels in the oldest frame version that can
+        // carry it: a bare v1 Msg and its NetMsg::Store envelope are
+        // byte-identical version-1 frames, and a version-1 frame decodes
+        // as a Store envelope; a v2-only message is stamped 2 so an old
+        // peer rejects it cleanly instead of misparsing it.
+        assert_eq!(f[4], 1);
+        assert_eq!(frame_of(&NetMsg::Store(msg(1))), f);
+        let Extract::Frame {
+            body_start,
+            body_end,
+        } = extract_frame(&f, 0)
+        else {
+            panic!("v1 frame");
+        };
+        assert_eq!(
+            from_bytes::<NetMsg>(&f[body_start..body_end]),
+            Ok(NetMsg::Store(msg(1)))
+        );
+        let hello = frame_of(&NetMsg::Hello { client: 7 });
+        assert_eq!(hello[4], 2);
+        assert!(matches!(extract_frame(&hello, 0), Extract::Frame { .. }));
     }
 
     #[test]
     fn extract_rejects_garbage() {
         // Zero length.
         assert!(matches!(extract_frame(&[0, 0, 0, 0, 1], 0), Extract::Bad));
-        // Oversized announcement.
+        // Oversized announcement, judged from the header alone: nothing
+        // of the announced body is ever buffered.
         let huge = (MAX_FRAME + 1).to_le_bytes();
         assert!(matches!(
             extract_frame(&[huge[0], huge[1], huge[2], huge[3], 1], 0),
             Extract::Bad
         ));
         // Wrong version — rejected even before the body arrives.
-        let mut f = frame_bytes(b"xx");
-        f[4] = WIRE_VERSION.wrapping_add(9);
+        let mut f = frame_of(&msg(1));
+        f[4] = 9;
         assert!(matches!(extract_frame(&f[..5], 0), Extract::Bad));
         assert!(matches!(extract_frame(&f, 0), Extract::Bad));
     }

@@ -69,13 +69,12 @@ pub(crate) trait Handler: Send + 'static {
     /// Cross-thread event type delivered through the [`Injector`].
     type Ev: Send + 'static;
 
-    /// A connection was adopted (locally via [`Ctl::adopt`] or through
-    /// [`Cmd::Adopt`]).
-    fn on_open(&mut self, ctl: &mut Ctl, conn: u64, tag: u64);
+    /// A connection was adopted through [`Cmd::Adopt`].
+    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
 
     /// The loop's listener accepted `stream`. Only called on loops
     /// spawned with a listener.
-    fn on_accept(&mut self, ctl: &mut Ctl, stream: TcpStream);
+    fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {}
 
     /// One complete frame body (version checked and stripped) arrived.
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]);
@@ -137,8 +136,8 @@ pub(crate) struct Ctl {
 
 impl Ctl {
     /// Registers an established stream with this loop and reports it
-    /// via the returned id (the handler's `on_open` also fires, after
-    /// the current hook returns). `None` if registration failed.
+    /// via the returned id (no `on_open` fires: the calling hook
+    /// already knows). `None` if registration failed.
     pub(crate) fn adopt(&mut self, stream: TcpStream, tag: u64) -> Option<u64> {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return None;
@@ -156,7 +155,7 @@ impl Ctl {
 
     /// Encodes `msg` as a frame and enqueues it on `conn`. Unknown or
     /// closing connections drop the message — the semantics of an
-    /// unreachable peer, exactly like the blocking transport.
+    /// unreachable peer.
     pub(crate) fn send<T: Wire>(&mut self, conn: u64, msg: &T) {
         let mut scratch = std::mem::take(&mut self.scratch);
         encode_frame(msg, &mut scratch);

@@ -1,10 +1,11 @@
-//! icg-net v2: a dependency-free `epoll` reactor.
+//! icg-net's I/O engine: a dependency-free `epoll` reactor.
 //!
-//! The blocking transport ([`crate::transport`]) spends two OS threads
-//! per socket; at production connection counts that is a wall — 10k
-//! clients would mean 20k threads on each replica. This module replaces
-//! it with a small number of event-loop threads, each owning an `epoll`
-//! instance and a set of connections outright:
+//! Every socket in this crate — replica listeners, peer links, client
+//! connections of both bindings — is served by a small number of
+//! event-loop threads, each owning an `epoll` instance and a set of
+//! connections outright. Thread-per-connection I/O would be a wall at
+//! production connection counts (10k clients would mean 20k threads on
+//! each replica); here the connection count costs memory, not threads.
 //!
 //! - `sys` — the raw `epoll`/`eventfd` syscalls (hand-declared FFI;
 //!   the workspace builds offline, so no `libc` crate) behind safe
@@ -12,18 +13,17 @@
 //! - `conn` — the per-connection state machine: an edge-triggered
 //!   drain-to-`WouldBlock` read path whose buffer the `Wire` codec
 //!   decodes from zero-copy, and a capped write queue flushed with
-//!   vectored writes.
+//!   vectored writes. Its frame extractor is the crate's one frame
+//!   decoder (re-exported as [`crate::frame::extract_frame`]).
 //! - `event_loop` — the loop itself: readiness dispatch, a
 //!   cross-thread command `Injector`, and the `Handler` trait protocols
 //!   implement to live on a loop.
 //! - [`backoff`] — bounded exponential backoff with deterministic
 //!   jitter for the dialer threads that feed loops reconnections.
-//! - `server` / [`client`] — `ReplicaServer` and `TcpBinding` ported
-//!   onto the loops, behind the exact same public API and semantics as
-//!   their blocking counterparts.
-//!
-//! The blocking transport remains selectable (`Transport::Blocking`)
-//! for one release; the reactor is the default.
+//! - `server` / [`client`] — the `ReplicaServer` loops and the
+//!   `TcpBinding` loops. The spec-store client
+//!   ([`crate::TcpSpecBinding`]) implements its own `Handler` and runs
+//!   one loop per binding.
 
 pub mod backoff;
 pub mod client;

@@ -16,10 +16,9 @@
 //! core never knows the difference — its [`Egress`] routes by key.
 //!
 //! Peer links are dialed by one auxiliary thread per peer (connecting
-//! is the one operation that blocks), with the same jittered
-//! exponential backoff as the blocking engine; an established stream is
-//! handed to loop 0 and the dialer parks until the loop reports the
-//! link down.
+//! is the one operation that blocks), with jittered exponential
+//! backoff; an established stream is handed to loop 0 and the dialer
+//! parks until the loop reports the link down.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crate::frame::encode_frame;
 use crate::protocol::{Egress, ReplicaCore};
-use crate::server::{HandleInner, ReplicaHandle, ServerConfig};
+use crate::server::{ReplicaHandle, ServerConfig};
 use crate::wire::{NetMsg, Reader};
 
 use super::backoff::{Backoff, Sleeper, ThreadSleeper};
@@ -133,20 +132,15 @@ pub(crate) fn start(
             .expect("spawn dialer thread");
     }
 
-    let stop_flag = Arc::clone(&stop);
-    let shutdown_inj = main_inj.clone();
-    let shutdown_remotes = remotes;
     ReplicaHandle {
         addr,
-        inner: HandleInner::Reactor {
-            stop: stop_flag,
-            shutdown: Box::new(move || {
-                shutdown_inj.send(Cmd::Shutdown);
-                for r in &shutdown_remotes {
-                    r.send(Cmd::Shutdown);
-                }
-            }),
-        },
+        stop,
+        shutdown: Box::new(move || {
+            main_inj.send(Cmd::Shutdown);
+            for r in &remotes {
+                r.send(Cmd::Shutdown);
+            }
+        }),
     }
 }
 
@@ -236,6 +230,10 @@ impl Egress for ReactorNet<'_> {
             self.ctl.send_frame(*conn, self.scratch);
         }
     }
+
+    fn live_links(&self) -> usize {
+        self.peer_conns.iter().flatten().count()
+    }
 }
 
 impl MainHandler {
@@ -254,8 +252,6 @@ impl MainHandler {
 
 impl Handler for MainHandler {
     type Ev = ServerEv;
-
-    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
 
     fn on_accept(&mut self, ctl: &mut Ctl, stream: TcpStream) {
         let n = self.remotes.len() + 1;
@@ -350,12 +346,6 @@ struct ForwardHandler {
 impl Handler for ForwardHandler {
     type Ev = ();
 
-    fn on_open(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64) {}
-
-    fn on_accept(&mut self, _ctl: &mut Ctl, _stream: TcpStream) {
-        // Forwarding loops have no listener.
-    }
-
     fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
         match Reader::new(body).finish::<NetMsg>() {
             Ok(msg) => {
@@ -378,8 +368,7 @@ impl Handler for ForwardHandler {
 
     fn on_close(&mut self, _ctl: &mut Ctl, _conn: u64, _tag: u64, _reason: CloseReason) {
         // Replies routed to a gone connection drop silently in
-        // `Ctl::send_frame`, exactly like the blocking engine's
-        // missing-`Outbound` case; nothing to tell the protocol loop.
+        // `Ctl::send_frame`; nothing to tell the protocol loop.
     }
 
     fn on_event(&mut self, _ctl: &mut Ctl, _ev: ()) {}

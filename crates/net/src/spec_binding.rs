@@ -31,20 +31,30 @@
 //! replica the client connected to, and a lost connection fails the
 //! in-flight operations with [`Error::Unavailable`] and the binding
 //! stays down (reconnect by constructing a new binding).
+//!
+//! ## Threading
+//!
+//! Each binding runs on its own reactor event loop (one OS thread):
+//! the connection, the directory, the pending-op table and the
+//! per-op deadlines all live on that loop, and the handle only injects
+//! commands. The handshake runs through the loop too — `connect` waits
+//! on a one-shot channel for the loop's verdict on the first frame.
+//! Dropping the last clone of the handle fails what is still pending
+//! and stops the loop.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 
-use crate::frame::{read_frame, write_frame};
-use crate::pump::{recv_step, Deadlines, Step};
-use crate::transport::{spawn_reader, Outbound};
-use crate::wire::{LevelInfo, NetMsg, SpecOp};
+use crate::pump::Deadlines;
+use crate::reactor::conn::CloseReason;
+use crate::reactor::event_loop::{spawn_loop, Cmd, Ctl, Handler, Injector, DEFAULT_WRITE_CAP};
+use crate::wire::{LevelInfo, NetMsg, Reader, SpecOp};
 
 /// Configuration of a [`TcpSpecBinding`].
 #[derive(Clone, Copy, Debug)]
@@ -76,6 +86,7 @@ impl SpecTcpConfig {
 }
 
 /// The two-way wire-id translation table built from the handshake.
+#[derive(Default)]
 struct Directory {
     /// Local wire id → server wire id, for submissions.
     to_server: HashMap<u8, u8>,
@@ -92,11 +103,7 @@ impl Directory {
     /// represented and is skipped (submitting at it is impossible from
     /// this process anyway — no local value denotes it).
     fn build(infos: &[LevelInfo]) -> Directory {
-        let mut dir = Directory {
-            to_server: HashMap::new(),
-            from_server: HashMap::new(),
-            levels: Vec::new(),
-        };
+        let mut dir = Directory::default();
         for info in infos {
             let Ok(local) = ConsistencyLevel::register(&info.name, info.rank) else {
                 continue;
@@ -109,27 +116,31 @@ impl Directory {
     }
 }
 
-enum Event {
+/// What the handshake reports back to `connect`: the server's wire
+/// version and its directory as local levels.
+type Handshake = io::Result<(u8, Vec<ConsistencyLevel>)>;
+
+/// Commands the binding handle injects into its loop.
+enum SpecEv {
     Submit {
         op: SpecOp,
         wants: Vec<u8>,
         upcall: Upcall<u64>,
     },
-    Reply(NetMsg),
-    Disconnected,
-    Shutdown,
+    /// Disconnect and fail everything pending; the binding stays down.
+    Close,
 }
 
-/// Stops the client loop when the last binding clone is dropped (the
-/// loop hands `Sender<Event>` clones to the reader thread, so channel
-/// disconnection alone would never fire).
-struct DropGuard {
-    tx: Sender<Event>,
+/// Stops the loop when the last binding clone is dropped: fails what is
+/// still pending, then exits the loop thread.
+struct StopGuard {
+    inj: Injector<SpecEv>,
 }
 
-impl Drop for DropGuard {
+impl Drop for StopGuard {
     fn drop(&mut self) {
-        let _ = self.tx.send(Event::Shutdown);
+        self.inj.send(Cmd::Ev(SpecEv::Close));
+        self.inj.send(Cmd::Shutdown);
     }
 }
 
@@ -138,78 +149,57 @@ impl Drop for DropGuard {
 /// shares the connection and the op-id space.
 #[derive(Clone)]
 pub struct TcpSpecBinding {
-    tx: Sender<Event>,
+    inj: Injector<SpecEv>,
     levels: LevelSet,
     server_levels: Vec<ConsistencyLevel>,
     server_version: u8,
-    _shutdown_on_last_drop: Arc<DropGuard>,
+    _stop_on_last_drop: Arc<StopGuard>,
 }
 
 impl TcpSpecBinding {
-    /// Dials `cfg.addr`, performs the level-directory handshake, and
-    /// starts the client loop.
+    /// Dials `cfg.addr`, starts the binding's event loop, and performs
+    /// the level-directory handshake on it.
     ///
-    /// Fails if the replica is unreachable, closes mid-handshake, or
-    /// answers the `Hello` with anything but a `HelloAck`.
+    /// Fails if the replica is unreachable, closes mid-handshake,
+    /// answers the `Hello` with anything but a `HelloAck`
+    /// ([`io::ErrorKind::InvalidData`]), or does not answer within
+    /// `cfg.connect_timeout` (e.g. a version-1 server that dropped the
+    /// Hello frame as garbage).
     pub fn connect(cfg: SpecTcpConfig) -> io::Result<TcpSpecBinding> {
         let stream = TcpStream::connect_timeout(&cfg.addr, cfg.connect_timeout)?;
-        // Handshake synchronously, before any reader thread exists: one
-        // Hello out, one HelloAck back. The read timeout covers a peer
-        // that accepts but never answers (e.g. a version-1 server that
-        // dropped the Hello frame as garbage and closed).
-        stream.set_read_timeout(Some(cfg.connect_timeout))?;
-        let mut read_half = stream.try_clone()?;
-        let mut scratch = Vec::new();
-        {
-            let mut write_half = stream.try_clone()?;
-            write_frame(
-                &mut write_half,
-                &NetMsg::Hello {
-                    client: cfg.client_id,
-                },
-                &mut scratch,
-            )?;
-        }
-        let ack = read_frame::<NetMsg>(&mut read_half, &mut scratch)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let Some(NetMsg::HelloAck { version, levels }) = ack else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected HelloAck as the first frame",
-            ));
-        };
-        stream.set_read_timeout(None)?;
-        let dir = Directory::build(&levels);
-        let server_levels = dir.levels.clone();
-
-        let (tx, rx) = mpsc::channel::<Event>();
-        let label = format!("spec{}", cfg.client_id);
-        let out = Outbound::spawn(stream, &label)?;
-        let reply_tx = tx.clone();
-        let close_tx = tx.clone();
-        spawn_reader::<NetMsg, _, _>(
-            read_half,
-            &label,
-            move |msg| {
-                let _ = reply_tx.send(Event::Reply(msg));
-            },
-            move |_reason| {
-                let _ = close_tx.send(Event::Disconnected);
-            },
-        )?;
-        let state = SpecLoop {
-            cfg,
-            conn: out,
-            dir,
+        let (done_tx, done_rx) = mpsc::sync_channel(1);
+        let handler = SpecHandler {
+            client_id: cfg.client_id,
+            op_timeout: cfg.op_timeout,
+            conn: None,
+            handshake: Some(done_tx),
+            dir: Directory::default(),
             next_seq: 0,
             pending: HashMap::new(),
             deadlines: Deadlines::new(),
         };
-        std::thread::Builder::new()
-            .name(format!("icg-spec-client-{}", cfg.client_id))
-            .spawn(move || state.run(rx))?;
+        let name = format!("icg-spec-client-{}", cfg.client_id);
+        let (inj, _join) = spawn_loop(&name, handler, None, DEFAULT_WRITE_CAP)?;
+        // The loop adopts the stream and sends Hello; its verdict on the
+        // first frame back arrives on the one-shot channel.
+        inj.send(Cmd::Adopt { stream, tag: 0 });
+        let verdict = done_rx
+            .recv_timeout(cfg.connect_timeout)
+            .unwrap_or_else(|_| {
+                Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "no HelloAck within the connect timeout",
+                ))
+            });
+        let (server_version, server_levels) = match verdict {
+            Ok(v) => v,
+            Err(e) => {
+                inj.send(Cmd::Shutdown);
+                return Err(e);
+            }
+        };
         Ok(TcpSpecBinding {
-            tx: tx.clone(),
+            inj: inj.clone(),
             levels: LevelSet::of(&[
                 ConsistencyLevel::WEAK,
                 ConsistencyLevel::UPDATE,
@@ -217,8 +207,8 @@ impl TcpSpecBinding {
                 ConsistencyLevel::STRONG,
             ]),
             server_levels,
-            server_version: version,
-            _shutdown_on_last_drop: Arc::new(DropGuard { tx }),
+            server_version,
+            _stop_on_last_drop: Arc::new(StopGuard { inj }),
         })
     }
 
@@ -235,10 +225,11 @@ impl TcpSpecBinding {
     }
 
     /// Disconnects and stops serving this binding. Pending operations
-    /// fail with [`Error::Unavailable`]. Idempotent; dropping the last
-    /// clone has the same effect.
+    /// fail with [`Error::Unavailable`], and so does every later
+    /// submission. Idempotent; dropping the last clone has the same
+    /// effect.
     pub fn shutdown(&self) {
-        let _ = self.tx.send(Event::Shutdown);
+        self.inj.send(Cmd::Ev(SpecEv::Close));
     }
 }
 
@@ -252,80 +243,58 @@ impl Binding for TcpSpecBinding {
 
     fn submit(&self, op: SpecOp, levels: &[ConsistencyLevel], upcall: Upcall<u64>) {
         // Requested levels travel under the *local* ids here; the loop
-        // translates to server ids (it owns the directory). A loop
-        // that's gone means shutdown raced the submit.
+        // translates to server ids (it owns the directory).
         let wants: Vec<u8> = levels.iter().map(|l| l.wire_id()).collect();
-        if self
-            .tx
-            .send(Event::Submit {
-                op,
-                wants,
-                upcall: upcall.clone(),
-            })
-            .is_err()
-        {
-            upcall.fail(Error::Unavailable("spec client shut down".into()));
-        }
+        self.inj.send(Cmd::Ev(SpecEv::Submit { op, wants, upcall }));
     }
 }
 
-/// One in-flight spec operation.
-struct PendingSpec {
-    upcall: Upcall<u64>,
-}
-
-struct SpecLoop {
-    cfg: SpecTcpConfig,
-    conn: Outbound,
+/// One spec binding's state, living on its event loop.
+struct SpecHandler {
+    client_id: u64,
+    op_timeout: Duration,
+    /// The connection to the replica; `None` once it is lost or closed,
+    /// after which every submission fails.
+    conn: Option<u64>,
+    /// Where `connect` waits for the handshake verdict, until the first
+    /// frame (or the connection's end) decides it.
+    handshake: Option<SyncSender<Handshake>>,
+    /// Empty until the `HelloAck` arrives.
     dir: Directory,
     next_seq: u64,
-    pending: HashMap<u64, PendingSpec>,
+    pending: HashMap<u64, Upcall<u64>>,
     deadlines: Deadlines<u64>,
 }
 
-impl SpecLoop {
-    fn run(mut self, rx: Receiver<Event>) {
-        loop {
-            let pending = &self.pending;
-            let next = self.deadlines.next_live(|seq| pending.contains_key(seq));
-            let event = match recv_step(&rx, next) {
-                Step::Event(e) => e,
-                Step::Expired => {
-                    self.fire_expired();
-                    continue;
-                }
-                Step::Closed => break,
-            };
-            match event {
-                Event::Submit { op, wants, upcall } => self.submit(op, &wants, upcall),
-                Event::Reply(msg) => self.handle_reply(msg),
-                Event::Disconnected => {
-                    self.fail_all(|| Error::Unavailable("spec connection lost".into()));
-                }
-                Event::Shutdown => break,
-            }
-        }
-        self.conn.kill();
-        self.fail_all(|| Error::Unavailable("spec client shut down".into()));
-    }
-
-    fn fire_expired(&mut self) {
-        let pending = &mut self.pending;
-        self.deadlines.fire_expired(Instant::now(), |seq| {
-            if let Some(p) = pending.remove(&seq) {
-                p.upcall.fail(Error::Timeout);
-            }
-        });
-    }
-
-    fn fail_all(&mut self, err: impl Fn() -> Error) {
-        for (_, p) in self.pending.drain() {
-            p.upcall.fail(err());
+impl SpecHandler {
+    fn fail_all(&mut self, why: &str) {
+        for (_, upcall) in self.pending.drain() {
+            upcall.fail(Error::Unavailable(why.into()));
         }
         self.deadlines.clear();
     }
 
-    fn submit(&mut self, op: SpecOp, local_wants: &[u8], upcall: Upcall<u64>) {
+    /// The first frame decides the handshake: a `HelloAck` builds the
+    /// directory, anything else closes the connection.
+    fn handshake(&mut self, ctl: &mut Ctl, conn: u64, msg: NetMsg, done: SyncSender<Handshake>) {
+        let verdict = match msg {
+            NetMsg::HelloAck { version, levels } => {
+                self.dir = Directory::build(&levels);
+                Ok((version, self.dir.levels.clone()))
+            }
+            _ => {
+                self.conn = None;
+                ctl.close(conn);
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "expected HelloAck as the first frame",
+                ))
+            }
+        };
+        let _ = done.send(verdict);
+    }
+
+    fn submit(&mut self, ctl: &mut Ctl, op: SpecOp, local_wants: &[u8], upcall: Upcall<u64>) {
         // Translate requested levels to the server's numbering. A level
         // with no directory entry cannot be requested honestly — fail
         // rather than silently downgrade the guarantee.
@@ -339,27 +308,23 @@ impl SpecLoop {
             };
             wants.push(server);
         }
-        if self.conn.is_dead() {
+        let Some(conn) = self.conn else {
             upcall.fail(Error::Unavailable("spec connection lost".into()));
             return;
-        }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        let msg = NetMsg::SpecSubmit {
-            client: self.cfg.client_id,
-            seq,
-            op,
-            wants,
-        };
-        self.pending.insert(seq, PendingSpec { upcall });
-        self.deadlines
-            .arm(Instant::now() + self.cfg.op_timeout, seq);
-        if !self.conn.send(&msg) {
-            if let Some(p) = self.pending.remove(&seq) {
-                p.upcall
-                    .fail(Error::Unavailable("spec connection lost".into()));
-            }
-        }
+        self.pending.insert(seq, upcall);
+        self.deadlines.arm(Instant::now() + self.op_timeout, seq);
+        ctl.send(
+            conn,
+            &NetMsg::SpecSubmit {
+                client: self.client_id,
+                seq,
+                op,
+                wants,
+            },
+        );
     }
 
     fn handle_reply(&mut self, msg: NetMsg) {
@@ -370,23 +335,23 @@ impl SpecLoop {
                 level,
                 val,
                 closing,
-            } if client == self.cfg.client_id => {
+            } if client == self.client_id => {
                 // A reply at a level the directory cannot translate
                 // would deliver under the wrong name; drop it and let
                 // the op's other views (or its deadline) resolve it.
                 let Some(&local) = self.dir.from_server.get(&level) else {
                     return;
                 };
-                if let Some(p) = self.pending.get(&seq) {
-                    p.upcall.deliver(val, local);
+                if let Some(upcall) = self.pending.get(&seq) {
+                    upcall.deliver(val, local);
                 }
                 if closing {
                     self.pending.remove(&seq);
                 }
             }
-            NetMsg::SpecFailed { client, seq } if client == self.cfg.client_id => {
-                if let Some(p) = self.pending.remove(&seq) {
-                    p.upcall.fail(Error::Unavailable(
+            NetMsg::SpecFailed { client, seq } if client == self.client_id => {
+                if let Some(upcall) = self.pending.remove(&seq) {
+                    upcall.fail(Error::Unavailable(
                         "server refused the submission (unknown or unserved level)".into(),
                     ));
                 }
@@ -394,5 +359,72 @@ impl SpecLoop {
             // Anything else: not ours, or not client-bound. Drop.
             _ => {}
         }
+    }
+}
+
+impl Handler for SpecHandler {
+    type Ev = SpecEv;
+
+    fn on_open(&mut self, ctl: &mut Ctl, conn: u64, _tag: u64) {
+        self.conn = Some(conn);
+        ctl.send(
+            conn,
+            &NetMsg::Hello {
+                client: self.client_id,
+            },
+        );
+    }
+
+    fn on_frame(&mut self, ctl: &mut Ctl, conn: u64, body: &[u8]) {
+        let Ok(msg) = Reader::new(body).finish::<NetMsg>() else {
+            // A corrupt stream: kill it (on_close fails what is
+            // pending) — never guess at what the reply might have been.
+            ctl.close_with(conn, CloseReason::Garbage, true);
+            return;
+        };
+        match self.handshake.take() {
+            Some(done) => self.handshake(ctl, conn, msg, done),
+            None => self.handle_reply(msg),
+        }
+    }
+
+    fn on_close(&mut self, _ctl: &mut Ctl, conn: u64, _tag: u64, _reason: CloseReason) {
+        if self.conn != Some(conn) {
+            return;
+        }
+        self.conn = None;
+        if let Some(done) = self.handshake.take() {
+            let _ = done.send(Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "connection closed before HelloAck",
+            )));
+        }
+        self.fail_all("spec connection lost");
+    }
+
+    fn on_event(&mut self, ctl: &mut Ctl, ev: SpecEv) {
+        match ev {
+            SpecEv::Submit { op, wants, upcall } => self.submit(ctl, op, &wants, upcall),
+            SpecEv::Close => {
+                if let Some(conn) = self.conn.take() {
+                    ctl.close(conn);
+                }
+                self.fail_all("spec client shut down");
+            }
+        }
+    }
+
+    fn on_tick(&mut self, _ctl: &mut Ctl) {
+        let pending = &mut self.pending;
+        self.deadlines.fire_expired(Instant::now(), |seq| {
+            if let Some(upcall) = pending.remove(&seq) {
+                upcall.fail(Error::Timeout);
+            }
+        });
+    }
+
+    fn next_deadline(&mut self) -> Option<Instant> {
+        let pending = &self.pending;
+        self.deadlines.next_live(|seq| pending.contains_key(seq))
     }
 }

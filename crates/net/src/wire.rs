@@ -374,12 +374,14 @@ impl Wire for FailReason {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(match self {
             FailReason::Timeout => 0,
+            FailReason::Unavailable => 1,
         });
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(FailReason::Timeout),
+            1 => Ok(FailReason::Unavailable),
             tag => Err(WireError::BadTag {
                 what: "FailReason",
                 tag,
@@ -1054,6 +1056,10 @@ mod tests {
             Msg::OpFailed {
                 op: op(),
                 reason: FailReason::Timeout,
+            },
+            Msg::OpFailed {
+                op: op(),
+                reason: FailReason::Unavailable,
             },
         ];
         for m in msgs {

@@ -97,9 +97,13 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         }),
         (arb_op_id(), arb_version()).prop_map(|(op, version)| Msg::ReadConfirm { op, version }),
         arb_op_id().prop_map(|op| Msg::WriteReply { op }),
-        arb_op_id().prop_map(|op| Msg::OpFailed {
+        (arb_op_id(), any::<bool>()).prop_map(|(op, timeout)| Msg::OpFailed {
             op,
-            reason: FailReason::Timeout,
+            reason: if timeout {
+                FailReason::Timeout
+            } else {
+                FailReason::Unavailable
+            },
         }),
     ]
 }

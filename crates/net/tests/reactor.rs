@@ -1,19 +1,21 @@
 //! Integration tests for the epoll reactor transport (PR 8 tentpole):
 //! partial frames across readiness events, write-queue backpressure,
-//! connection churn, peer death mid-frame, multi-loop forwarding, and
-//! the blocking engine staying selectable. Everything here runs over
-//! real loopback sockets against real `ReplicaServer`s.
+//! connection churn, peer death mid-frame, and multi-loop forwarding.
+//! Everything here runs over real loopback sockets against real
+//! `ReplicaServer`s.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
+use common::recv_msg;
 use correctables::Client;
-use icg_net::frame::{encode_frame, read_frame};
+use icg_net::frame::encode_frame;
 use icg_net::{
-    spawn_local_cluster, ReplicaHandle, ServerConfig, TcpBinding, TcpConfig, Transport,
-    WIRE_VERSION,
+    spawn_local_cluster, ReplicaHandle, ServerConfig, TcpBinding, TcpConfig, WIRE_VERSION,
 };
 use quorumstore::types::ReadKind;
 use quorumstore::{Key, Msg, OpId, Phase, StoreOp, Value};
@@ -75,9 +77,7 @@ fn partial_frames_across_readiness_events() {
         thread::sleep(Duration::from_millis(1));
     }
     let mut scratch = Vec::new();
-    let reply = read_frame::<Msg>(&mut sock, &mut scratch)
-        .expect("read reply")
-        .expect("reply frame");
+    let reply = recv_msg::<Msg>(&mut sock, &mut scratch).expect("reply frame");
     assert_eq!(
         reply,
         Msg::WriteReply {
@@ -95,10 +95,7 @@ fn partial_frames_across_readiness_events() {
     sock.write_all(a).expect("first half");
     thread::sleep(Duration::from_millis(10));
     sock.write_all(b).expect("second half");
-    match read_frame::<Msg>(&mut sock, &mut scratch)
-        .expect("read reply")
-        .expect("reply frame")
-    {
+    match recv_msg::<Msg>(&mut sock, &mut scratch).expect("reply frame") {
         Msg::ReadReply { op: o, phase, data } => {
             assert_eq!(o, op(RAW_CLIENT, 2));
             assert_eq!(phase, Phase::Single);
@@ -130,19 +127,14 @@ fn coalesced_frames_dispatch_in_order() {
     sock.write_all(&batch).expect("batch");
 
     let mut scratch = Vec::new();
-    let first = read_frame::<Msg>(&mut sock, &mut scratch)
-        .expect("read")
-        .expect("frame");
+    let first = recv_msg::<Msg>(&mut sock, &mut scratch).expect("frame");
     assert_eq!(
         first,
         Msg::WriteReply {
             op: op(RAW_CLIENT + 1, 1)
         }
     );
-    match read_frame::<Msg>(&mut sock, &mut scratch)
-        .expect("read")
-        .expect("frame")
-    {
+    match recv_msg::<Msg>(&mut sock, &mut scratch).expect("frame") {
         Msg::ReadReply { op: o, data, .. } => {
             assert_eq!(o, op(RAW_CLIENT + 1, 2));
             assert_eq!(data.value, Value::Opaque(32));
@@ -171,9 +163,7 @@ fn write_queue_backpressure_sheds_slow_reader() {
     }))
     .expect("write big");
     let mut scratch = Vec::new();
-    read_frame::<Msg>(&mut sock, &mut scratch)
-        .expect("ack")
-        .expect("ack frame");
+    recv_msg::<Msg>(&mut sock, &mut scratch).expect("ack frame");
 
     // 24 pipelined reads -> ~24 MiB of replies against a 4 MiB cap.
     const READS: u64 = 24;
@@ -188,12 +178,8 @@ fn write_queue_backpressure_sheds_slow_reader() {
     // Let the server run into the cap before we drain anything.
     thread::sleep(Duration::from_millis(300));
     let mut delivered = 0u64;
-    loop {
-        match read_frame::<Msg>(&mut sock, &mut scratch) {
-            Ok(Some(_)) => delivered += 1,
-            Ok(None) => break,
-            Err(_) => break,
-        }
+    while recv_msg::<Msg>(&mut sock, &mut scratch).is_some() {
+        delivered += 1;
     }
     assert!(
         delivered < READS,
@@ -284,9 +270,7 @@ fn connection_churn_leaves_the_server_healthy() {
                             }))
                             .expect("churn read");
                             let mut scratch = Vec::new();
-                            read_frame::<Msg>(&mut sock, &mut scratch)
-                                .expect("churn reply")
-                                .expect("churn reply frame");
+                            recv_msg::<Msg>(&mut sock, &mut scratch).expect("churn reply frame");
                         }
                     }
                 }
@@ -350,33 +334,6 @@ fn multi_loop_forwarding_round_trips() {
     for h in handles {
         h.join().expect("client thread");
     }
-    shutdown(replicas);
-}
-
-/// The blocking engine stays selectable end to end: a cluster and a
-/// binding both pinned to `Transport::Blocking` still round-trip.
-#[test]
-fn blocking_transport_remains_selectable() {
-    let replicas = spawn_local_cluster(3, |id| ServerConfig {
-        id,
-        op_timeout: Duration::from_secs(2),
-        transport: Transport::Blocking,
-        ..ServerConfig::default()
-    });
-    let mut cfg = config(&replicas, 1700);
-    cfg.transport = Transport::Blocking;
-    let binding = TcpBinding::connect(cfg).expect("connect");
-    let client = Client::new(binding.clone());
-    client
-        .invoke_strong(StoreOp::Write(Key::plain(15), Value::Opaque(24)))
-        .wait_final(Duration::from_secs(5))
-        .expect("write");
-    let view = client
-        .invoke_strong(StoreOp::Read(Key::plain(15)))
-        .wait_final(Duration::from_secs(5))
-        .expect("read");
-    assert_eq!(view.value.value, Value::Opaque(24));
-    binding.shutdown();
     shutdown(replicas);
 }
 

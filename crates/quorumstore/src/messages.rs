@@ -19,6 +19,9 @@ const OP_HEADER: usize = 13;
 pub enum FailReason {
     /// The coordinator could not gather the required quorum in time.
     Timeout,
+    /// Too few peer links were live to ever gather the quorum, so the
+    /// coordinator failed the operation at once instead of waiting.
+    Unavailable,
 }
 
 /// Which stage of an ICG read a reply carries.
