@@ -24,9 +24,10 @@
 //! the update (anti-entropy quiescence for this op), re-evaluated
 //! against the by-then-converged state.
 //!
-//! [`SimCrdtStore::ec2_broken`] swaps in the [`BrokenCrdt`] counters —
-//! the negative fixture whose non-commutative effects the oracle's SEC
-//! checker must reject.
+//! [`SimCrdtStore::ec2_broken`] swaps in the
+//! [`BrokenCrdt`](crate::types::BrokenCrdt) counters — the negative
+//! fixture whose non-commutative effects the oracle's SEC checker must
+//! reject.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};

@@ -15,9 +15,15 @@
 //! against remote replicas with no code changes.
 //!
 //! Bindings live on the event loops of a [`ClientReactor`]: thousands
-//! of them share a process-wide reactor, and the [`TcpBinding`] handle
-//! only injects commands. This module holds the public handle and the
-//! reply-matching state machine (`handle_reply`) the loops run.
+//! of them share a process-wide reactor. A submission runs on the
+//! caller's thread — it registers the op, encodes the request frame and
+//! writes it to the socket itself — while the binding's loop reads and
+//! matches the replies, fires deadlines, dials, and flushes whatever
+//! the socket pushed back (`reactor::client` has the split in full).
+//! This module holds the public handle and the reply-matching state
+//! machine (`handle_reply`) the loops run. Both decide upcall
+//! transitions under the binding's lock and run them (`Fire`) only
+//! after releasing it, so a callback may submit on the same binding.
 //!
 //! ## Failover
 //!
@@ -33,10 +39,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::Duration;
-
-use parking_lot::Mutex;
+use std::time::{Duration, Instant};
 
 use correctables::{Binding, ConsistencyLevel, Error, LevelSet, Upcall};
 use quorumstore::messages::{FailReason, Msg, Phase};
@@ -44,7 +47,7 @@ use quorumstore::types::{OpId, ReadKind, Version, Versioned};
 use quorumstore::StoreOp;
 use simnet::NodeId;
 
-use crate::reactor::client::{ClientEv, ClientReactor, ReactorBinding};
+use crate::reactor::client::{ClientReactor, ReactorBinding};
 
 /// Configuration of a [`TcpBinding`].
 #[derive(Clone, Debug)]
@@ -92,6 +95,26 @@ pub(crate) struct PendingOp {
     pub(crate) close_level: ConsistencyLevel,
     pub(crate) prelim: Option<Versioned>,
     pub(crate) written: Option<Versioned>,
+    /// When the op fails [`Error::Timeout`] if still pending.
+    pub(crate) deadline: Instant,
+}
+
+/// An upcall transition decided under a binding's lock, run by
+/// [`Fire::run`] after the lock is released.
+pub(crate) enum Fire {
+    /// Deliver a view at a level.
+    View(Upcall<Versioned>, Versioned, ConsistencyLevel),
+    /// Fail the operation.
+    Fail(Upcall<Versioned>, Error),
+}
+
+impl Fire {
+    pub(crate) fn run(self) {
+        match self {
+            Fire::View(upcall, value, level) => upcall.deliver(value, level),
+            Fire::Fail(upcall, err) => upcall.fail(err),
+        }
+    }
 }
 
 /// Builds the wire message for a submitted operation, plus the locally
@@ -133,21 +156,33 @@ pub(crate) fn encode_submit(
 /// the op instead: fabricating an absent view would tell the caller
 /// "the key does not exist" with strong confidence the binding never
 /// actually obtained (the PR 3 *CC bug class, on a different path).
-fn finish(pending: &mut HashMap<u64, PendingOp>, seq: u64, data: Option<Versioned>) {
+fn finish(
+    pending: &mut HashMap<u64, PendingOp>,
+    seq: u64,
+    data: Option<Versioned>,
+    fire: &mut Vec<Fire>,
+) {
     let Some(p) = pending.remove(&seq) else {
         return;
     };
-    match data.or(p.prelim).or(p.written) {
-        Some(value) => p.upcall.deliver(value, p.close_level),
-        None => p.upcall.fail(Error::Unavailable(
-            "final reply carried no view and none was held".into(),
-        )),
-    }
+    fire.push(match data.or(p.prelim).or(p.written) {
+        Some(value) => Fire::View(p.upcall, value, p.close_level),
+        None => Fire::Fail(
+            p.upcall,
+            Error::Unavailable("final reply carried no view and none was held".into()),
+        ),
+    });
 }
 
 /// Routes one server reply into the pending-op table: the reply-matching
-/// half of the client state machine.
-pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64, msg: Msg) {
+/// half of the client state machine. The upcall transitions it decides
+/// are pushed onto `fire` for the caller to run once unlocked.
+pub(crate) fn handle_reply(
+    pending: &mut HashMap<u64, PendingOp>,
+    client_id: u64,
+    msg: Msg,
+    fire: &mut Vec<Fire>,
+) {
     let own = |op: OpId| op.client == NodeId(client_id as usize);
     match msg {
         Msg::ReadReply {
@@ -157,12 +192,11 @@ pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64
         } if own(op) => {
             if let Some(p) = pending.get_mut(&op.seq) {
                 p.prelim = Some(data.clone());
-                let up = p.upcall.clone();
-                up.deliver(data, ConsistencyLevel::WEAK);
+                fire.push(Fire::View(p.upcall.clone(), data, ConsistencyLevel::WEAK));
             }
         }
         Msg::ReadReply { op, data, .. } if own(op) => {
-            finish(pending, op.seq, Some(data));
+            finish(pending, op.seq, Some(data), fire);
         }
         Msg::ReadConfirm { op, version } if own(op) => {
             // *CC: confirm only against the preliminary we actually
@@ -172,25 +206,29 @@ pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64
                 .and_then(|p| p.prelim.clone())
                 .filter(|prelim| prelim.version == version);
             match confirmed {
-                Some(prelim) => finish(pending, op.seq, Some(prelim)),
+                Some(prelim) => finish(pending, op.seq, Some(prelim), fire),
                 None => {
                     if let Some(p) = pending.remove(&op.seq) {
-                        p.upcall.fail(Error::Unavailable(
-                            "read confirmation without matching preliminary view".into(),
+                        fire.push(Fire::Fail(
+                            p.upcall,
+                            Error::Unavailable(
+                                "read confirmation without matching preliminary view".into(),
+                            ),
                         ));
                     }
                 }
             }
         }
-        Msg::WriteReply { op } if own(op) => finish(pending, op.seq, None),
+        Msg::WriteReply { op } if own(op) => finish(pending, op.seq, None, fire),
         Msg::OpFailed { op, reason } if own(op) => {
             if let Some(p) = pending.remove(&op.seq) {
-                p.upcall.fail(match reason {
+                let err = match reason {
                     FailReason::Timeout => Error::Timeout,
                     FailReason::Unavailable => {
                         Error::Unavailable("coordinator has too few live peer links".into())
                     }
-                });
+                };
+                fire.push(Fire::Fail(p.upcall, err));
             }
         }
         // Anything else: not ours, or not client-bound. Drop.
@@ -202,9 +240,6 @@ pub(crate) fn handle_reply(pending: &mut HashMap<u64, PendingOp>, client_id: u64
 /// Cloning shares the connection and the op-id space.
 #[derive(Clone)]
 pub struct TcpBinding {
-    /// The address of the coordinator currently (or most recently)
-    /// connected, for observability.
-    coordinator: Arc<Mutex<SocketAddr>>,
     rb: ReactorBinding,
 }
 
@@ -223,15 +258,13 @@ impl TcpBinding {
     pub fn connect_on(cfg: TcpConfig, reactor: &ClientReactor) -> io::Result<TcpBinding> {
         // lint: allow(panic_path) — constructor API-misuse check, pre-serving
         assert!(!cfg.replicas.is_empty(), "need at least one replica");
-        reactor
-            .register(cfg)
-            .map(|(coordinator, rb)| TcpBinding { coordinator, rb })
+        reactor.register(cfg).map(|rb| TcpBinding { rb })
     }
 
     /// The replica this binding is currently coordinated by (the most
     /// recently dialed address after failover).
     pub fn coordinator(&self) -> SocketAddr {
-        *self.coordinator.lock()
+        self.rb.coordinator()
     }
 
     /// Disconnects and stops serving this binding. Pending operations
@@ -266,13 +299,6 @@ impl Binding for TcpBinding {
             },
             (true, false) => ReadKind::Single { r: 1 },
         };
-        let close_level = upcall.strongest();
-        self.rb.submit(ClientEv::Submit {
-            binding: self.rb.id(),
-            op,
-            kind,
-            upcall,
-            close_level,
-        });
+        self.rb.submit(op, kind, upcall);
     }
 }

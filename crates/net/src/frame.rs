@@ -38,11 +38,21 @@ pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// clearing it first. The result is ready for a single `write_all`.
 pub fn encode_frame<T: Wire>(msg: &T, scratch: &mut Vec<u8>) {
     scratch.clear();
+    append_frame(msg, scratch);
+}
+
+/// Encodes `msg` as one complete frame at the end of `out`, after the
+/// frames already there: a write buffer that batches several frames
+/// into one `writev`.
+pub(crate) fn append_frame<T: Wire>(msg: &T, out: &mut Vec<u8>) {
+    let start = out.len();
     // Reserve the length slot, then encode in place. The version byte is
     // the oldest version that understands *this* message, not the newest
     // this build speaks — see the module docs.
-    scratch.extend_from_slice(&[0, 0, 0, 0, msg.min_wire_version()]);
-    msg.encode(scratch);
-    let len = (scratch.len() - 4) as u32;
-    scratch[..4].copy_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0, 0, 0, 0, msg.min_wire_version()]);
+    msg.encode(out);
+    let len = (out.len() - start - 4) as u32;
+    if let Some(slot) = out.get_mut(start..start + 4) {
+        slot.copy_from_slice(&len.to_le_bytes());
+    }
 }

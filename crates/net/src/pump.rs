@@ -1,9 +1,11 @@
-//! The operation-deadline heap every protocol handler in this crate
-//! shares: the replica core and both client bindings arm one deadline
-//! per operation, report the soonest live one as their loop's
-//! `next_deadline`, and fire the expired ones on tick. This module owns
-//! the lazy-discard and expiry logic once so it cannot drift between
-//! them.
+//! The operation-deadline heap of the handlers that arm deadlines on
+//! their own loop thread: the replica core and the spec-store client
+//! arm one deadline per operation, report the soonest live one as their
+//! loop's `next_deadline`, and fire the expired ones on tick. This
+//! module owns the lazy-discard and expiry logic once so it cannot
+//! drift between them. (The quorum-store client's callers submit on
+//! their own threads, so its loop checks per-op deadlines on a fixed
+//! tick instead; see `reactor::client`.)
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

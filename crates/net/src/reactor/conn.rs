@@ -19,6 +19,7 @@
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 use crate::frame::MAX_FRAME;
 use crate::wire::{MIN_WIRE_VERSION, WIRE_VERSION};
@@ -103,7 +104,10 @@ pub fn extract_frame(buf: &[u8], pos: usize) -> Extract {
 
 /// One registered connection owned by exactly one event loop.
 pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
+    /// Shared so a handler may also write to the socket from other
+    /// threads (the quorum-store client binding's callers do); reads
+    /// stay on the loop.
+    pub(crate) stream: Arc<TcpStream>,
     /// Handler-defined meaning (peer index, client tag, binding id…).
     pub(crate) tag: u64,
     /// Received-but-unparsed bytes. `read_pos` marks how much of the
@@ -131,7 +135,7 @@ pub(crate) enum ReadStep {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, tag: u64, write_cap: usize) -> Conn {
+    pub(crate) fn new(stream: Arc<TcpStream>, tag: u64, write_cap: usize) -> Conn {
         Conn {
             stream,
             tag,
@@ -155,7 +159,7 @@ impl Conn {
                 self.read_buf.truncate(filled);
                 return ReadStep::Closed(CloseReason::Io);
             };
-            match self.stream.read(spare) {
+            match (&*self.stream).read(spare) {
                 Ok(0) => {
                     self.read_buf.truncate(filled);
                     return ReadStep::Closed(CloseReason::Eof);
@@ -247,7 +251,7 @@ impl Conn {
                 self.queued = 0;
                 break;
             }
-            match self.stream.write_vectored(&slices) {
+            match (&*self.stream).write_vectored(&slices) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.advance(n),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),

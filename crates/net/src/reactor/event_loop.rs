@@ -3,9 +3,13 @@
 //!
 //! A loop owns its connections exclusively — read buffers, write
 //! queues, and the protocol handler all live on the loop thread, so no
-//! connection state is ever locked or shared. Other threads talk to a
-//! loop only through its [`Injector`]: a mutex-protected command queue
-//! paired with an `eventfd` that kicks the loop out of `epoll_wait`.
+//! connection state is ever locked or shared. The one exception is the
+//! socket itself: a handler may hand an adopted stream's write side to
+//! other threads (the quorum-store client binding lets its callers
+//! write their request frames directly; see `reactor::client`), while
+//! reads stay on the loop. Other threads talk to a loop only through
+//! its [`Injector`]: a mutex-protected command queue paired with an
+//! `eventfd` that kicks the loop out of `epoll_wait`.
 //!
 //! Each loop iteration:
 //!
@@ -13,7 +17,9 @@
 //!    (or that deadline, whichever is sooner);
 //! 2. drains readable connections edge-to-exhaustion, slicing complete
 //!    frames out of the connection buffers and handing each body to the
-//!    handler ([`Handler::on_frame`]) for zero-copy decode;
+//!    handler ([`Handler::on_frame`]) for zero-copy decode, and tells
+//!    the handler of every connection that reported write readiness
+//!    ([`Handler::on_writable`]);
 //! 3. drains injected commands (adopt a connection, enqueue bytes,
 //!    handler events, shutdown);
 //! 4. flushes every connection the iteration touched with vectored
@@ -47,8 +53,9 @@ use super::sys::{
 const TOKEN_WAKE: u64 = u64::MAX;
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
 
-/// Default cap on one connection's queued unwritten bytes.
-pub(crate) const DEFAULT_WRITE_CAP: usize = 4 * 1024 * 1024;
+/// Default cap on one connection's queued unwritten bytes: past it the
+/// connection is closed rather than buffered further.
+pub const DEFAULT_WRITE_CAP: usize = 4 * 1024 * 1024;
 
 /// What the loop does on behalf of other threads.
 pub(crate) enum Cmd<Ev> {
@@ -85,6 +92,14 @@ pub(crate) trait Handler: Send + 'static {
 
     /// An injected [`Cmd::Ev`] arrived.
     fn on_event(&mut self, ctl: &mut Ctl, ev: Self::Ev);
+
+    /// The socket of `conn` reported write readiness (after the loop
+    /// flushed its own queue for it): a handler that keeps its own
+    /// write buffer flushes it here.
+    fn on_writable(&mut self, _ctl: &mut Ctl, _conn: u64) {}
+
+    /// The loop is exiting; every connection is about to be dropped.
+    fn on_shutdown(&mut self, _ctl: &mut Ctl) {}
 
     /// The deadline previously returned by [`Handler::next_deadline`]
     /// expired.
@@ -137,8 +152,10 @@ pub(crate) struct Ctl {
 impl Ctl {
     /// Registers an established stream with this loop and reports it
     /// via the returned id (no `on_open` fires: the calling hook
-    /// already knows). `None` if registration failed.
-    pub(crate) fn adopt(&mut self, stream: TcpStream, tag: u64) -> Option<u64> {
+    /// already knows). `None` if registration failed. The stream is
+    /// non-blocking from here on, for every holder of a shared one.
+    pub(crate) fn adopt(&mut self, stream: impl Into<Arc<TcpStream>>, tag: u64) -> Option<u64> {
+        let stream = stream.into();
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return None;
         }
@@ -300,6 +317,7 @@ impl<H: Handler> Loop<H> {
         // Shutdown: drop every connection outright (in-flight frames are
         // lost — to the peers this is a crash, which is what the
         // failover machinery is tested against).
+        self.handler.on_shutdown(&mut self.ctl);
         for (_, c) in self.ctl.conns.drain() {
             self.ctl.poller.del(c.stream.as_raw_fd());
         }
@@ -365,6 +383,9 @@ impl<H: Handler> Loop<H> {
         }
         if bits & EPOLLOUT != 0 {
             self.flush_one(conn);
+            if self.ctl.conns.get(&conn).is_some_and(|c| !c.closing) {
+                self.handler.on_writable(&mut self.ctl, conn);
+            }
         }
     }
 

@@ -34,3 +34,4 @@ pub(crate) mod sys;
 
 pub use backoff::{Backoff, Sleeper, ThreadSleeper};
 pub use client::ClientReactor;
+pub use event_loop::DEFAULT_WRITE_CAP;

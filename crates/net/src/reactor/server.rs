@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crate::frame::encode_frame;
 use crate::protocol::{Egress, ReplicaCore};
-use crate::server::{ReplicaHandle, ServerConfig};
+use crate::server::{PeerLinks, ReplicaHandle, ServerConfig};
 use crate::wire::{NetMsg, Reader};
 
 use super::backoff::{Backoff, Sleeper, ThreadSleeper};
@@ -96,11 +96,13 @@ pub(crate) fn start(
     let (down_txs, down_rxs): (Vec<Sender<()>>, Vec<Receiver<()>>) =
         (0..peers.len()).map(|_| mpsc::channel::<()>()).unzip();
 
+    let links = Arc::new(PeerLinks::default());
     let handler = MainHandler {
         core: ReplicaCore::new(cfg.id, cfg.op_timeout, peers.len()),
         remotes: remotes.clone(),
         peer_conns: vec![None; peers.len()],
         peer_down: down_txs,
+        links: Arc::clone(&links),
         rr: 0,
         scratch: Vec::new(),
     };
@@ -135,6 +137,7 @@ pub(crate) fn start(
     ReplicaHandle {
         addr,
         stop,
+        links,
         shutdown: Box::new(move || {
             main_inj.send(Cmd::Shutdown);
             for r in &remotes {
@@ -194,6 +197,8 @@ struct MainHandler {
     peer_conns: Vec<Option<u64>>,
     /// Signals the matching dialer to re-dial when its link dies.
     peer_down: Vec<Sender<()>>,
+    /// Where the count of `peer_conns` that are live is published.
+    links: Arc<PeerLinks>,
     /// Accept round-robin cursor across all loops.
     rr: usize,
     /// Frame-encode scratch for cross-loop sends.
@@ -237,6 +242,10 @@ impl Egress for ReactorNet<'_> {
 }
 
 impl MainHandler {
+    fn publish_links(&self) {
+        self.links.publish(self.peer_conns.iter().flatten().count());
+    }
+
     fn net<'a>(ctl: &'a mut Ctl, this: &'a mut Self) -> (ReactorNet<'a>, &'a mut ReplicaCore) {
         (
             ReactorNet {
@@ -287,6 +296,7 @@ impl Handler for MainHandler {
                 if let Some(slot) = self.peer_conns.get_mut(peer) {
                     *slot = None;
                 }
+                self.publish_links();
                 if let Some(tx) = self.peer_down.get(peer) {
                     let _ = tx.send(());
                 }
@@ -307,6 +317,7 @@ impl Handler for MainHandler {
                         if let Some(slot) = self.peer_conns.get_mut(peer) {
                             *slot = Some(conn);
                         }
+                        self.publish_links();
                         let (mut net, core) = MainHandler::net(ctl, self);
                         core.on_peer_up(&mut net);
                     }

@@ -22,7 +22,9 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 /// Tuning knobs of a TCP replica.
 #[derive(Clone, Copy, Debug)]
@@ -99,12 +101,55 @@ pub struct ReplicaHandle {
     pub(crate) stop: Arc<AtomicBool>,
     /// Stops every event loop of the replica.
     pub(crate) shutdown: Box<dyn Fn() + Send + Sync>,
+    /// The protocol loop's live peer-link count.
+    pub(crate) links: Arc<PeerLinks>,
+}
+
+/// The count of live peer links the protocol loop publishes whenever a
+/// link comes up or goes down, with a condvar to wait for a change.
+#[derive(Default)]
+pub(crate) struct PeerLinks {
+    live: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl PeerLinks {
+    pub(crate) fn publish(&self, live: usize) {
+        *self.live.lock() = live;
+        self.changed.notify_all();
+    }
 }
 
 impl ReplicaHandle {
     /// The address this replica serves on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// How many of this replica's links to its peers are up. As a
+    /// coordinator it fails a quorum op `Unavailable` while fewer than
+    /// the quorum's peer count are; a full mesh is one link per peer.
+    pub fn live_peer_links(&self) -> usize {
+        *self.links.live.lock()
+    }
+
+    /// Blocks until at least `n` peer links are up or `timeout` passes,
+    /// and returns whether they came up. Boot code that must not race
+    /// the peer mesh waits here before sending load.
+    pub fn wait_peer_links(&self, n: usize, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut live = self.links.live.lock();
+        while *live < n {
+            if self
+                .links
+                .changed
+                .wait_until(&mut live, deadline)
+                .timed_out()
+            {
+                return *live >= n;
+            }
+        }
+        true
     }
 
     /// Stops the replica abruptly: the listener stops accepting, every

@@ -17,7 +17,7 @@ mod common;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::recv_msg;
 use correctables::{Client, Error};
@@ -130,6 +130,33 @@ fn lost_strong_reply_times_out_instead_of_closing_absent() {
         Err(Error::Timeout) => {}
         other => panic!("want Timeout, got {other:?}"),
     }
+    binding.shutdown();
+}
+
+/// The loop learns of a submission only when it next ticks, so a binding
+/// idle for longer than `op_timeout` must still time out a lone op
+/// sent into silence on schedule: at most an eighth of `op_timeout`
+/// late, never only when some later event happens to wake the loop.
+#[test]
+fn lone_op_after_idleness_times_out_on_schedule() {
+    let addr = fake_coordinator(|_| None);
+    let cfg = config(addr, 7400);
+    let op_timeout = cfg.op_timeout;
+    let binding = TcpBinding::connect(cfg).expect("connect");
+    let client = Client::new(binding.clone());
+    thread::sleep(op_timeout + op_timeout / 2);
+    let start = Instant::now();
+    let read = client.invoke_strong(StoreOp::Read(Key::plain(6)));
+    let outcome = read.wait_final(Duration::from_secs(5));
+    let took = start.elapsed();
+    assert!(
+        matches!(outcome, Err(Error::Timeout)),
+        "want Timeout, got {outcome:?}"
+    );
+    assert!(
+        took >= op_timeout && took <= op_timeout + op_timeout / 8,
+        "timed out after {took:?}; op_timeout is {op_timeout:?}"
+    );
     binding.shutdown();
 }
 

@@ -27,36 +27,12 @@ cargo build --release -q -p icg_apps -p icg_bench
 REPLICAD=target/release/icg-replicad
 LOADGEN=target/release/icg-loadgen
 
-pids=()
-cleanup() {
-    for pid in "${pids[@]}"; do
-        kill "$pid" 2>/dev/null || true
-    done
-    wait 2>/dev/null || true
-}
+# Boot retries on a fresh port base after a bind collision; see
+# scripts/cluster_boot.sh (ICG_DEMO_PORT pins the base there too).
+# shellcheck source=scripts/cluster_boot.sh
+. scripts/cluster_boot.sh
 trap cleanup EXIT
-
-port_free() {
-    ! (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null
-}
-
-BASE_PORT=0
-for _ in $(seq 1 20); do
-    c=$((20000 + RANDOM % 40000))
-    if port_free "$c" && port_free $((c + 1)) && port_free $((c + 2)); then
-        BASE_PORT=$c
-        break
-    fi
-done
-[ "$BASE_PORT" != 0 ] || { echo "no free ports" >&2; exit 1; }
-P0="127.0.0.1:$BASE_PORT"
-P1="127.0.0.1:$((BASE_PORT + 1))"
-P2="127.0.0.1:$((BASE_PORT + 2))"
-
-echo "=== booting 3 replicas on $P0 $P1 $P2 ==="
-"$REPLICAD" --id 0 --listen "$P0" --peers "$P1,$P2" & pids+=($!)
-"$REPLICAD" --id 1 --listen "$P1" --peers "$P0,$P2" & pids+=($!)
-"$REPLICAD" --id 2 --listen "$P2" --peers "$P0,$P1" & pids+=($!)
+boot_with_retry
 
 rm -f "$lines"
 mkdir -p target

@@ -47,12 +47,24 @@ fn settled_snapshot(
     }
 }
 
+/// Boots `n` replicas and waits until every one has a live link to
+/// each peer: load sent earlier could reach a coordinator that cannot
+/// gather a quorum yet and fail `Unavailable`.
 fn cluster(n: usize, op_timeout: Duration) -> Vec<ReplicaHandle> {
-    spawn_local_cluster(n, |id| ServerConfig {
+    let replicas = spawn_local_cluster(n, |id| ServerConfig {
         id,
         op_timeout,
         ..ServerConfig::default()
-    })
+    });
+    for (id, r) in replicas.iter().enumerate() {
+        assert!(
+            r.wait_peer_links(n - 1, Duration::from_secs(10)),
+            "replica {id} has {} of {} peer links after 10 s",
+            r.live_peer_links(),
+            n - 1
+        );
+    }
+    replicas
 }
 
 fn config(replicas: &[ReplicaHandle], client_id: u64) -> TcpConfig {
