@@ -2,14 +2,16 @@
 //!
 //! [`ReplicaCore`] is the replica's entire protocol brain: the storage
 //! map, the pending read/write tables, internal op-id minting, and the
-//! operation-deadline heap. It never touches a socket — every outbound
-//! message goes through the [`Egress`] trait, which the reactor
-//! implements over its event-loop connection table.
+//! operation and hedge deadline heaps. It never touches a socket —
+//! every outbound message goes through the [`Egress`] trait, which the
+//! reactor implements over its event-loop connection table.
 //!
 //! The protocol itself is documented in [`crate::server`]: simulated
 //! [`quorumstore::Replica`] semantics (preliminary flush, confirmation,
-//! LWW adoption) with the one divergence that peer reads fan out to
-//! *all* peers and complete at the first `R-1` responses.
+//! LWW adoption, peer reads to the `R-1` fastest peers), plus the two
+//! mechanisms that keep a quorum read available when one of the peers
+//! it asked is lost or silent (see [`ReplicaCore::on_peer_down`] and
+//! [`ReplicaCore::fire_expired`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -35,6 +37,13 @@ pub(crate) trait Egress {
     /// Sends `msg` down every currently-live peer link.
     fn to_peers(&mut self, msg: &NetMsg);
 
+    /// Sends `msg` down the link to peer `peer` (an index into the
+    /// configured peer list) and returns whether a live link took it.
+    fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool;
+
+    /// The peer whose current link is connection `conn`, if any.
+    fn peer_of(&self, conn: u64) -> Option<usize>;
+
     /// How many peer links are live right now — the most peers a
     /// request sent through [`Egress::to_peers`] can reach.
     fn live_links(&self) -> usize;
@@ -50,15 +59,174 @@ pub(crate) trait Egress {
     }
 }
 
+/// A quorum read still short of its quorum after [`hedge_delay`] is
+/// hedged to the peers it has not asked yet.
+const HEDGE_DIVISOR: u32 = 16;
+
+/// The most a hedge waits, whatever the op timeout: a silent peer must
+/// not cost a read more than a fraction of a client's default 2 s
+/// timeout, however long the replica's own op timeout is.
+const HEDGE_CAP: Duration = Duration::from_millis(500);
+
+/// Each answer time moves a peer's estimate `1/RTT_GAIN` of the way.
+const RTT_GAIN: u32 = 4;
+
+/// A peer no quorum read has asked for this long gets one extra
+/// `PeerRead` alongside the next read's chosen peers, so its estimate
+/// can catch up when it gets faster. The read does not wait for it.
+const PROBE_PERIOD: Duration = Duration::from_millis(100);
+
+/// How long a quorum read waits for the peers it asked before it also
+/// asks the rest: `op_timeout / HEDGE_DIVISOR` (the ratio the client
+/// binding's deadline tick uses), at most [`HEDGE_CAP`].
+fn hedge_delay(op_timeout: Duration) -> Duration {
+    (op_timeout / HEDGE_DIVISOR).min(HEDGE_CAP)
+}
+
+/// What the coordinator has seen of one peer's answers to quorum reads.
+#[derive(Clone, Copy, Default)]
+struct PeerRtt {
+    /// Smoothed `PeerRead` to `PeerReadResp` time; `None` until the peer
+    /// answers a read that still waited on it.
+    est: Option<Duration>,
+    /// When a quorum read last asked this peer.
+    asked: Option<Instant>,
+}
+
+impl PeerRtt {
+    /// Folds one answer time (or, for a read that stopped waiting, the
+    /// time waited so far) into the estimate.
+    fn sample(&mut self, took: Duration) {
+        self.est = Some(match self.est {
+            None => took,
+            Some(est) if took >= est => est + (took - est) / RTT_GAIN,
+            Some(est) => est - (est - took) / RTT_GAIN,
+        });
+    }
+
+    /// Whether no quorum read has asked this peer for a probe period.
+    fn due(&self, now: Instant) -> bool {
+        !matches!(self.asked, Some(at) if now.saturating_duration_since(at) < PROBE_PERIOD)
+    }
+}
+
+/// Where a pending quorum read stands with one peer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Ask {
+    /// Not asked, or asked over a link that has since been lost.
+    No,
+    /// Asked at this instant; the answer is outstanding.
+    Asked(Instant),
+    /// Answered; counted toward the quorum once.
+    Answered,
+}
+
 struct ReadSt {
     client_conn: u64,
     client_op: OpId,
     kind: ReadKind,
     key: Key,
     best: Versioned,
-    responses: u8,
+    /// Responses the final view needs, the coordinator's own included.
     needed: u8,
     prelim: Option<Version>,
+    /// Per configured peer, so a duplicate or stray answer never counts
+    /// twice toward the quorum.
+    peers: Vec<Ask>,
+}
+
+impl ReadSt {
+    fn answered(&self) -> usize {
+        self.peers.iter().filter(|a| **a == Ask::Answered).count()
+    }
+
+    fn waiting(&self) -> usize {
+        self.peers
+            .iter()
+            .filter(|a| matches!(a, Ask::Asked(_)))
+            .count()
+    }
+
+    /// Peer answers the quorum still lacks beyond those already asked
+    /// for.
+    fn unasked_shortfall(&self) -> usize {
+        (self.needed as usize).saturating_sub(1 + self.answered() + self.waiting())
+    }
+
+    /// Asks up to `want` peers not asked yet, fastest first: peers with
+    /// an estimate by that estimate, then unmeasured ones (which
+    /// [`ReadSt::probe`] measures without a read waiting on them).
+    /// Returns how many live links took the request.
+    fn ask(
+        &mut self,
+        net: &mut impl Egress,
+        peer_op: OpId,
+        rtt: &mut [PeerRtt],
+        want: usize,
+        now: Instant,
+    ) -> usize {
+        let mut order: Vec<usize> = (0..self.peers.len())
+            .filter(|p| self.peers.get(*p) == Some(&Ask::No))
+            .collect();
+        order.sort_by_key(|p| {
+            let est = rtt.get(*p).and_then(|r| r.est);
+            (est.is_none(), est, *p)
+        });
+        let mut asked = 0;
+        for peer in order {
+            if asked == want {
+                break;
+            }
+            if self.send(net, peer_op, rtt, peer, now) {
+                asked += 1;
+            }
+        }
+        asked
+    }
+
+    /// Asks one more peer, not waited on, if some peer this read has not
+    /// asked is [due](PeerRtt::due) for a measurement. Until some peer
+    /// has answered, there is nothing to choose by, so it asks every
+    /// peer, as the first read does.
+    fn probe(&mut self, net: &mut impl Egress, peer_op: OpId, rtt: &mut [PeerRtt], now: Instant) {
+        let blind = rtt.iter().all(|r| r.est.is_none());
+        for peer in 0..self.peers.len() {
+            let due = blind || rtt.get(peer).is_some_and(|r| r.due(now));
+            if due
+                && self.peers.get(peer) == Some(&Ask::No)
+                && self.send(net, peer_op, rtt, peer, now)
+                && !blind
+            {
+                return;
+            }
+        }
+    }
+
+    /// Sends this read's `PeerRead` to `peer`; returns whether a live
+    /// link took it.
+    fn send(
+        &mut self,
+        net: &mut impl Egress,
+        peer_op: OpId,
+        rtt: &mut [PeerRtt],
+        peer: usize,
+        now: Instant,
+    ) -> bool {
+        let msg = NetMsg::Store(Msg::PeerRead {
+            op: peer_op,
+            key: self.key,
+        });
+        if !net.to_peer(peer, &msg) {
+            return false;
+        }
+        if let Some(slot) = self.peers.get_mut(peer) {
+            *slot = Ask::Asked(now);
+        }
+        if let Some(r) = rtt.get_mut(peer) {
+            r.asked = Some(now);
+        }
+        true
+    }
 }
 
 struct WriteSt {
@@ -84,6 +252,12 @@ pub(crate) struct ReplicaCore {
     next_internal: u64,
     /// Operation deadlines, soonest first.
     deadlines: Deadlines<u64>,
+    /// Quorum reads to hedge to the peers they have not asked yet, if
+    /// still short of their quorum by then.
+    hedges: Deadlines<u64>,
+    /// Per configured peer: its answer-time estimate, which picks the
+    /// peers a quorum read asks.
+    rtt: Vec<PeerRtt>,
     /// The update/causal/strong spec store riding the same connections.
     spec: SpecCore,
 }
@@ -99,6 +273,8 @@ impl ReplicaCore {
             writes: HashMap::new(),
             next_internal: 0,
             deadlines: Deadlines::new(),
+            hedges: Deadlines::new(),
+            rtt: vec![PeerRtt::default(); n_peers],
             spec: SpecCore::new(id, n_peers + 1),
         }
     }
@@ -160,20 +336,64 @@ impl ReplicaCore {
         self.spec.retransmit(net);
     }
 
-    /// The soonest live operation deadline, for the transport's wait.
+    /// The link to peer `peer` was lost or replaced. Reads waiting on
+    /// its answer re-ask live peers they have not asked yet (the
+    /// replacement link of `peer` itself included); a read that can no
+    /// longer reach its quorum fails `Unavailable` at once.
+    pub(crate) fn on_peer_down(&mut self, net: &mut impl Egress, peer: usize) {
+        let waiting: Vec<u64> = self
+            .reads
+            .iter()
+            .filter(|(_, st)| matches!(st.peers.get(peer), Some(Ask::Asked(_))))
+            .map(|(internal, _)| *internal)
+            .collect();
+        let now = Instant::now();
+        for internal in waiting {
+            let peer_op = self.peer_op(internal);
+            let Some(st) = self.reads.get_mut(&internal) else {
+                continue;
+            };
+            if let Some(slot) = st.peers.get_mut(peer) {
+                *slot = Ask::No;
+            }
+            let short = st.unasked_shortfall();
+            if st.ask(net, peer_op, &mut self.rtt, short, now) < short {
+                if let Some(st) = self.reads.remove(&internal) {
+                    Self::fail_unavailable(net, st.client_conn, st.client_op);
+                }
+            }
+        }
+    }
+
+    /// The soonest live operation or hedge deadline, for the
+    /// transport's wait.
     pub(crate) fn next_deadline(&mut self) -> Option<Instant> {
         let reads = &self.reads;
         let writes = &self.writes;
-        self.deadlines
-            .next_live(|internal| reads.contains_key(internal) || writes.contains_key(internal))
+        let op = self
+            .deadlines
+            .next_live(|internal| reads.contains_key(internal) || writes.contains_key(internal));
+        let hedge = self
+            .hedges
+            .next_live(|internal| reads.contains_key(internal));
+        match (op, hedge) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
-    /// Fails every operation whose deadline has passed.
-    pub(crate) fn fire_expired(&mut self, net: &mut impl Egress) {
+    /// Fails every operation whose deadline has passed by `now`, then
+    /// hedges every quorum read still short of its quorum
+    /// [`hedge_delay`] after it started: it asks every live peer it has
+    /// not asked yet, so a silent peer (hung, or cut off without its
+    /// link closing) delays the read instead of failing it. The time
+    /// waited counts as an answer time of each peer still owing one, so
+    /// a peer that went silent stops being asked first.
+    pub(crate) fn fire_expired(&mut self, net: &mut impl Egress, now: Instant) {
         let mut failed = Vec::new();
         let reads = &mut self.reads;
         let writes = &mut self.writes;
-        self.deadlines.fire_expired(Instant::now(), |internal| {
+        self.deadlines.fire_expired(now, |internal| {
             let hit = reads
                 .remove(&internal)
                 .map(|st| (st.client_conn, st.client_op))
@@ -193,6 +413,21 @@ impl ReplicaCore {
                 },
             );
         }
+        let mut hedged = Vec::new();
+        self.hedges
+            .fire_expired(now, |internal| hedged.push(internal));
+        for internal in hedged {
+            let peer_op = self.peer_op(internal);
+            let Some(st) = self.reads.get_mut(&internal) else {
+                continue;
+            };
+            for (ask, r) in st.peers.iter().zip(&mut self.rtt) {
+                if let Ask::Asked(at) = ask {
+                    r.sample(now.saturating_duration_since(*at));
+                }
+            }
+            st.ask(net, peer_op, &mut self.rtt, usize::MAX, now);
+        }
     }
 
     fn now_version(&self) -> Version {
@@ -209,16 +444,18 @@ impl ReplicaCore {
     fn mint_internal(&mut self) -> (u64, OpId) {
         let internal = self.next_internal;
         self.next_internal += 1;
-        // Peer traffic op ids: this replica's id in the client slot, the
-        // internal counter in the sequence slot. Unique per coordinator,
-        // and coordinators' ids are unique per deployment.
-        (
-            internal,
-            OpId {
-                client: NodeId(self.id as usize),
-                seq: internal,
-            },
-        )
+        (internal, self.peer_op(internal))
+    }
+
+    /// The op id of internal op `internal` in peer traffic: this
+    /// replica's id in the client slot, the internal counter in the
+    /// sequence slot. Unique per coordinator, and coordinators' ids are
+    /// unique per deployment.
+    fn peer_op(&self, internal: u64) -> OpId {
+        OpId {
+            client: NodeId(self.id as usize),
+            seq: internal,
+        }
     }
 
     fn arm(&mut self, internal: u64) {
@@ -237,7 +474,7 @@ impl ReplicaCore {
                 let data = self.store.get(key);
                 net.store_to_client(conn, Msg::PeerReadResp { op, data });
             }
-            Msg::PeerReadResp { op, data } => self.peer_read_resp(net, op, data),
+            Msg::PeerReadResp { op, data } => self.peer_read_resp(net, conn, op, data),
             Msg::PeerWrite { key, data, ack_op } => {
                 self.store.apply(key, data);
                 if let Some(op) = ack_op {
@@ -285,29 +522,36 @@ impl ReplicaCore {
             return;
         }
 
-        // Fan out to every peer and complete at the first R-1 responses —
-        // availability under a dead replica (see the module docs). With
-        // fewer than R-1 links live the quorum is out of reach; fail at
-        // once rather than park the op until its deadline.
+        // With fewer than R-1 links live the quorum is out of reach;
+        // fail at once rather than park the op until its deadline.
         if net.live_links() + 1 < needed as usize {
             Self::fail_unavailable(net, conn, client_op);
             return;
         }
         let (internal, peer_op) = self.mint_internal();
-        net.store_to_peers(Msg::PeerRead { op: peer_op, key });
-        self.reads.insert(
-            internal,
-            ReadSt {
-                client_conn: conn,
-                client_op,
-                kind,
-                key,
-                best: local,
-                responses: 1,
-                needed,
-                prelim,
-            },
-        );
+        let mut st = ReadSt {
+            client_conn: conn,
+            client_op,
+            kind,
+            key,
+            best: local,
+            needed,
+            prelim,
+            peers: vec![Ask::No; self.n_peers],
+        };
+        let now = Instant::now();
+        let want = needed as usize - 1;
+        if st.ask(net, peer_op, &mut self.rtt, want, now) < want {
+            // A link counted live above was already closing.
+            Self::fail_unavailable(net, conn, client_op);
+            return;
+        }
+        st.probe(net, peer_op, &mut self.rtt, now);
+        if st.peers.contains(&Ask::No) {
+            self.hedges
+                .arm(now + hedge_delay(self.op_timeout), internal);
+        }
+        self.reads.insert(internal, st);
         self.arm(internal);
     }
 
@@ -341,7 +585,7 @@ impl ReplicaCore {
         net.store_to_client(conn, msg);
     }
 
-    fn peer_read_resp(&mut self, net: &mut impl Egress, peer_op: OpId, data: Versioned) {
+    fn peer_read_resp(&mut self, net: &mut impl Egress, conn: u64, peer_op: OpId, data: Versioned) {
         // Only answers to our own requests are meaningful.
         if peer_op.client != NodeId(self.id as usize) {
             return;
@@ -350,11 +594,25 @@ impl ReplicaCore {
         let Some(st) = self.reads.get_mut(&internal) else {
             return; // late response after completion or timeout
         };
-        st.responses += 1;
+        // Count one answer per asked peer: a duplicate, or an answer
+        // from a link this read no longer waits on, changes nothing.
+        let Some(peer) = net.peer_of(conn) else {
+            return;
+        };
+        let Some(slot) = st.peers.get_mut(peer) else {
+            return;
+        };
+        let Ask::Asked(at) = *slot else {
+            return;
+        };
+        *slot = Ask::Answered;
+        if let Some(r) = self.rtt.get_mut(peer) {
+            r.sample(at.elapsed());
+        }
         if data.version > st.best.version {
             st.best = data;
         }
-        if st.responses < st.needed {
+        if 1 + st.answered() < st.needed as usize {
             return;
         }
         let Some(st) = self.reads.remove(&internal) else {
@@ -950,5 +1208,449 @@ impl SpecCore {
                 self.ack(net, j as u32, delivered);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The client connection every test read arrives on.
+    const CLIENT: u64 = 7;
+    /// Peer link `i` is connection `PEER_CONN + i`.
+    const PEER_CONN: u64 = 100;
+    const OP_TIMEOUT: Duration = Duration::from_secs(5);
+
+    /// An in-memory [`Egress`]: records every send per peer and per
+    /// client connection, and lets a test take peer links down.
+    struct MemNet {
+        live: Vec<bool>,
+        to_peer: Vec<Vec<NetMsg>>,
+        to_client: Vec<(u64, NetMsg)>,
+    }
+
+    impl MemNet {
+        fn new(peers: usize) -> MemNet {
+            MemNet {
+                live: vec![true; peers],
+                to_peer: vec![Vec::new(); peers],
+                to_client: Vec::new(),
+            }
+        }
+
+        /// `PeerRead`s sent to each peer so far.
+        fn peer_reads(&self) -> Vec<usize> {
+            self.to_peer
+                .iter()
+                .map(|sent| {
+                    sent.iter()
+                        .filter(|m| matches!(m, NetMsg::Store(Msg::PeerRead { .. })))
+                        .count()
+                })
+                .collect()
+        }
+
+        /// The op id of the last `PeerRead` sent to `peer`.
+        fn last_peer_read(&self, peer: usize) -> OpId {
+            self.to_peer[peer]
+                .iter()
+                .rev()
+                .find_map(|m| match m {
+                    NetMsg::Store(Msg::PeerRead { op, .. }) => Some(*op),
+                    _ => None,
+                })
+                .expect("peer was asked")
+        }
+
+        /// The store messages sent to the client, in order.
+        fn client_msgs(&self) -> Vec<Msg> {
+            self.to_client
+                .iter()
+                .filter_map(|(conn, m)| match m {
+                    NetMsg::Store(msg) if *conn == CLIENT => Some(msg.clone()),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn finals(&self) -> Vec<Versioned> {
+            self.client_msgs()
+                .into_iter()
+                .filter_map(|m| match m {
+                    Msg::ReadReply {
+                        phase: Phase::Final,
+                        data,
+                        ..
+                    } => Some(data),
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn unavailable(&self) -> usize {
+            self.client_msgs()
+                .iter()
+                .filter(|m| {
+                    matches!(
+                        m,
+                        Msg::OpFailed {
+                            reason: FailReason::Unavailable,
+                            ..
+                        }
+                    )
+                })
+                .count()
+        }
+    }
+
+    impl Egress for MemNet {
+        fn to_client(&mut self, conn: u64, msg: &NetMsg) {
+            self.to_client.push((conn, msg.clone()));
+        }
+
+        fn to_peers(&mut self, msg: &NetMsg) {
+            for (live, sent) in self.live.iter().zip(&mut self.to_peer) {
+                if *live {
+                    sent.push(msg.clone());
+                }
+            }
+        }
+
+        fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool {
+            if !self.live[peer] {
+                return false;
+            }
+            self.to_peer[peer].push(msg.clone());
+            true
+        }
+
+        fn peer_of(&self, conn: u64) -> Option<usize> {
+            let peer = conn.checked_sub(PEER_CONN)? as usize;
+            (self.live.get(peer) == Some(&true)).then_some(peer)
+        }
+
+        fn live_links(&self) -> usize {
+            self.live.iter().filter(|l| **l).count()
+        }
+    }
+
+    fn setup(peers: usize) -> (ReplicaCore, MemNet) {
+        (ReplicaCore::new(0, OP_TIMEOUT, peers), MemNet::new(peers))
+    }
+
+    /// A client ICG read of key 1 at read quorum `r`.
+    fn read(core: &mut ReplicaCore, net: &mut MemNet, seq: u64, r: u8) {
+        let op = OpId {
+            client: NodeId(1000),
+            seq,
+        };
+        let kind = ReadKind::Icg { r, confirm: false };
+        core.on_msg(
+            net,
+            CLIENT,
+            Msg::ClientRead {
+                op,
+                key: Key::plain(1),
+                kind,
+            },
+        );
+    }
+
+    /// Peer `peer` answers the last read it was asked with a record of
+    /// timestamp `ts`, on the link `via`.
+    fn answer_via(core: &mut ReplicaCore, net: &mut MemNet, peer: usize, via: u64, ts: u64) {
+        let op = net.last_peer_read(peer);
+        let data = Versioned {
+            value: Value::Opaque(8),
+            version: Version { ts, writer: 9 },
+        };
+        core.on_msg(net, via, Msg::PeerReadResp { op, data });
+    }
+
+    fn answer(core: &mut ReplicaCore, net: &mut MemNet, peer: usize, ts: u64) {
+        answer_via(core, net, peer, PEER_CONN + peer as u64, ts);
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Gives every peer the answer-time estimate in `ests` and marks it
+    /// asked just now, so no read probes it for a while.
+    fn measured(core: &mut ReplicaCore, ests: &[u64]) {
+        let now = Instant::now();
+        for (r, est) in core.rtt.iter_mut().zip(ests) {
+            r.est = Some(ms(*est));
+            r.asked = Some(now);
+        }
+    }
+
+    #[test]
+    fn r2_asks_only_the_fastest_peer() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[5, 1]);
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [0, 1]);
+        read(&mut core, &mut net, 2, 2);
+        assert_eq!(net.peer_reads(), [0, 2]);
+        // The preliminary view still goes out first, once per read.
+        let prelims = net
+            .client_msgs()
+            .iter()
+            .filter(|m| {
+                matches!(
+                    m,
+                    Msg::ReadReply {
+                        phase: Phase::Preliminary,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(prelims, 2);
+    }
+
+    #[test]
+    fn an_unmeasured_peer_is_probed_not_waited_on() {
+        let (mut core, mut net) = setup(2);
+        // Nothing measured yet: peer 0 is asked, peer 1 probed.
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [1, 1]);
+        // Either answer completes the read; the probed peer's does here.
+        answer(&mut core, &mut net, 1, 3);
+        assert_eq!(net.finals().len(), 1);
+        assert!(core.rtt[1].est.is_some());
+        assert!(core.rtt[0].est.is_none());
+        // A measured peer goes before an unmeasured one, and peer 0 was
+        // asked too recently to be probed again.
+        read(&mut core, &mut net, 2, 2);
+        assert_eq!(net.peer_reads(), [1, 2]);
+    }
+
+    #[test]
+    fn until_a_peer_answers_every_read_asks_every_peer() {
+        let (mut core, mut net) = setup(3);
+        read(&mut core, &mut net, 1, 2);
+        read(&mut core, &mut net, 2, 2);
+        assert_eq!(net.peer_reads(), [2, 2, 2]);
+        answer(&mut core, &mut net, 2, 3);
+        read(&mut core, &mut net, 3, 2);
+        assert_eq!(net.peer_reads(), [2, 2, 3], "peer 2 answered first");
+    }
+
+    #[test]
+    fn a_peer_not_asked_for_a_probe_period_is_probed_once() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1, 5]);
+        core.rtt[1].asked = Instant::now().checked_sub(PROBE_PERIOD);
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [1, 1]);
+        read(&mut core, &mut net, 2, 2);
+        assert_eq!(net.peer_reads(), [2, 1]);
+        // The read waits for either answer, not for the probe's.
+        answer(&mut core, &mut net, 0, 3);
+        assert_eq!(net.finals().len(), 1);
+    }
+
+    #[test]
+    fn an_answer_time_moves_the_estimate_a_quarter_of_the_way() {
+        let mut r = PeerRtt::default();
+        r.sample(ms(8));
+        assert_eq!(r.est, Some(ms(8)));
+        r.sample(ms(4));
+        assert_eq!(r.est, Some(ms(7)));
+        r.sample(ms(11));
+        assert_eq!(r.est, Some(ms(8)));
+    }
+
+    #[test]
+    fn an_answer_is_timed_into_the_estimate() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1_000, 5_000]);
+        read(&mut core, &mut net, 1, 2);
+        answer(&mut core, &mut net, 0, 3);
+        let est = core.rtt[0].est.expect("peer 0 measured");
+        assert!(est < ms(1_000), "a fast answer pulls the estimate down");
+        assert_eq!(core.rtt[1].est, Some(ms(5_000)), "peer 1 was not asked");
+    }
+
+    #[test]
+    fn r2_skips_a_down_link() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1, 5]);
+        net.live[0] = false;
+        read(&mut core, &mut net, 1, 2);
+        read(&mut core, &mut net, 2, 2);
+        assert_eq!(net.peer_reads(), [0, 2]);
+        answer(&mut core, &mut net, 1, 5);
+        assert_eq!(net.finals().len(), 1);
+    }
+
+    #[test]
+    fn r3_asks_both_peers_and_completes_on_both_answers() {
+        let (mut core, mut net) = setup(2);
+        read(&mut core, &mut net, 1, 3);
+        assert_eq!(net.peer_reads(), [1, 1]);
+        answer(&mut core, &mut net, 0, 4);
+        assert!(net.finals().is_empty());
+        answer(&mut core, &mut net, 1, 6);
+        let finals = net.finals();
+        assert_eq!(finals.len(), 1);
+        assert_eq!(finals[0].version.ts, 6, "the newest answer wins");
+    }
+
+    #[test]
+    fn losing_an_asked_peer_reasks_the_other() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1, 5]);
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [1, 0]);
+        net.live[0] = false;
+        core.on_peer_down(&mut net, 0);
+        assert_eq!(net.peer_reads(), [1, 1]);
+        answer(&mut core, &mut net, 1, 3);
+        assert_eq!(net.finals().len(), 1);
+        assert_eq!(net.unavailable(), 0);
+    }
+
+    #[test]
+    fn losing_a_peer_that_was_not_asked_asks_no_one() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1, 5]);
+        read(&mut core, &mut net, 1, 2);
+        net.live[1] = false;
+        core.on_peer_down(&mut net, 1);
+        assert_eq!(net.peer_reads(), [1, 0]);
+        assert_eq!(net.unavailable(), 0);
+    }
+
+    #[test]
+    fn a_replaced_link_may_be_asked_again() {
+        // One peer, R=2: the redialed link is the only one left to ask.
+        let (mut core, mut net) = setup(1);
+        read(&mut core, &mut net, 1, 2);
+        core.on_peer_down(&mut net, 0);
+        assert_eq!(net.peer_reads(), [2]);
+        answer(&mut core, &mut net, 0, 3);
+        assert_eq!(net.finals().len(), 1);
+    }
+
+    #[test]
+    fn losing_the_last_askable_peer_fails_unavailable() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1, 5]);
+        read(&mut core, &mut net, 1, 2);
+        net.live[1] = false;
+        core.on_peer_down(&mut net, 1);
+        net.live[0] = false;
+        core.on_peer_down(&mut net, 0);
+        assert_eq!(net.peer_reads(), [1, 0]);
+        assert_eq!(net.unavailable(), 1);
+        assert!(core.reads.is_empty());
+        // Nothing is left to time out or to hedge.
+        core.fire_expired(&mut net, Instant::now() + OP_TIMEOUT * 2);
+        assert_eq!(net.client_msgs().len(), 2, "preliminary + OpFailed only");
+    }
+
+    #[test]
+    fn the_hedge_delay_is_a_sixteenth_of_the_op_timeout_capped() {
+        assert_eq!(hedge_delay(Duration::from_millis(1600)), ms(100));
+        assert_eq!(hedge_delay(OP_TIMEOUT), OP_TIMEOUT / 16);
+        assert!(OP_TIMEOUT / 16 < HEDGE_CAP);
+        assert_eq!(hedge_delay(Duration::from_secs(60)), HEDGE_CAP);
+    }
+
+    #[test]
+    fn an_expired_hedge_asks_the_peers_not_yet_asked() {
+        let (mut core, mut net) = setup(3);
+        measured(&mut core, &[1, 1, 1]);
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [1, 0, 0]);
+        // Before the hedge delay nothing happens.
+        core.fire_expired(&mut net, Instant::now());
+        assert_eq!(net.peer_reads(), [1, 0, 0]);
+        let hedge_at = core.next_deadline().expect("a hedge is armed");
+        assert!(hedge_at <= Instant::now() + hedge_delay(OP_TIMEOUT));
+        net.live[2] = false;
+        core.fire_expired(&mut net, hedge_at);
+        assert_eq!(net.peer_reads(), [1, 1, 0], "live peers not asked yet");
+        answer(&mut core, &mut net, 1, 3);
+        assert_eq!(net.finals().len(), 1);
+        // The silent peer's late answer finds nothing to complete.
+        answer(&mut core, &mut net, 0, 9);
+        assert_eq!(net.finals().len(), 1);
+        assert_eq!(net.unavailable(), 0);
+    }
+
+    #[test]
+    fn a_hedge_stops_the_silent_peer_from_being_asked_first() {
+        let (mut core, mut net) = setup(2);
+        measured(&mut core, &[1, 2]);
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [1, 0]);
+        let hedge_at = core.next_deadline().expect("a hedge is armed");
+        core.fire_expired(&mut net, hedge_at);
+        assert_eq!(net.peer_reads(), [1, 1]);
+        // The wait counted as an answer time of the silent peer 0.
+        let est = core.rtt[0].est.expect("peer 0 measured");
+        assert!(est > ms(2), "{est:?}");
+        answer(&mut core, &mut net, 1, 3);
+        read(&mut core, &mut net, 2, 2);
+        assert_eq!(net.peer_reads(), [1, 2]);
+    }
+
+    #[test]
+    fn a_read_that_asked_every_peer_arms_no_hedge() {
+        let (mut core, mut net) = setup(2);
+        read(&mut core, &mut net, 1, 3);
+        let next = core.next_deadline().expect("the op deadline is armed");
+        assert!(next > Instant::now() + OP_TIMEOUT / 2);
+        // Nor does an R=2 read whose probe asked the other peer.
+        let (mut core, mut net) = setup(2);
+        read(&mut core, &mut net, 1, 2);
+        assert_eq!(net.peer_reads(), [1, 1]);
+        let next = core.next_deadline().expect("the op deadline is armed");
+        assert!(next > Instant::now() + OP_TIMEOUT / 2);
+    }
+
+    #[test]
+    fn a_duplicate_answer_does_not_complete_an_r3_read() {
+        let (mut core, mut net) = setup(2);
+        read(&mut core, &mut net, 1, 3);
+        answer(&mut core, &mut net, 0, 4);
+        answer(&mut core, &mut net, 0, 4);
+        assert!(net.finals().is_empty());
+        // Nor does an answer arriving on a connection that is no peer
+        // link.
+        answer_via(&mut core, &mut net, 1, CLIENT, 4);
+        assert!(net.finals().is_empty());
+        answer(&mut core, &mut net, 1, 5);
+        assert_eq!(net.finals().len(), 1);
+    }
+
+    #[test]
+    fn a_w1_write_still_propagates_to_every_peer() {
+        let (mut core, mut net) = setup(2);
+        let op = OpId {
+            client: NodeId(1000),
+            seq: 1,
+        };
+        core.on_msg(
+            &mut net,
+            CLIENT,
+            Msg::ClientWrite {
+                op,
+                key: Key::plain(1),
+                value: Value::Opaque(8),
+                w: 1,
+            },
+        );
+        for sent in &net.to_peer {
+            assert!(matches!(
+                sent.as_slice(),
+                [NetMsg::Store(Msg::PeerWrite { ack_op: None, .. })]
+            ));
+        }
+        assert!(net.client_msgs().contains(&Msg::WriteReply { op }));
     }
 }

@@ -236,6 +236,22 @@ impl Egress for ReactorNet<'_> {
         }
     }
 
+    fn to_peer(&mut self, peer: usize, msg: &NetMsg) -> bool {
+        let Some(conn) = self.peer_conns.get(peer).copied().flatten() else {
+            return false;
+        };
+        if self.ctl.tag_of(conn).is_none() {
+            return false; // closing: its `on_close` is on the way
+        }
+        self.ctl.send(conn, msg);
+        // A send past the write cap closes the link (and reports it).
+        self.ctl.tag_of(conn).is_some()
+    }
+
+    fn peer_of(&self, key: u64) -> Option<usize> {
+        self.peer_conns.iter().position(|c| *c == Some(key))
+    }
+
     fn live_links(&self) -> usize {
         self.peer_conns.iter().flatten().count()
     }
@@ -286,7 +302,7 @@ impl Handler for MainHandler {
         }
     }
 
-    fn on_close(&mut self, _ctl: &mut Ctl, conn: u64, tag: u64, _reason: CloseReason) {
+    fn on_close(&mut self, ctl: &mut Ctl, conn: u64, tag: u64, _reason: CloseReason) {
         if tag >= TAG_PEER_BASE {
             let peer = (tag - TAG_PEER_BASE) as usize;
             // Only the *current* link counts: a stale close from a link
@@ -300,6 +316,8 @@ impl Handler for MainHandler {
                 if let Some(tx) = self.peer_down.get(peer) {
                     let _ = tx.send(());
                 }
+                let (mut net, core) = MainHandler::net(ctl, self);
+                core.on_peer_down(&mut net, peer);
             }
         }
     }
@@ -310,8 +328,11 @@ impl Handler for MainHandler {
                 let tag = TAG_PEER_BASE + peer as u64;
                 match ctl.adopt(stream, tag) {
                     Some(conn) => {
-                        // A link the dialer replaced is closed quietly.
-                        if let Some(old) = self.peer_conns.get(peer).copied().flatten() {
+                        // A link the dialer replaced is closed quietly;
+                        // answers still owed on it never arrive, so the
+                        // reads waiting on them ask again.
+                        let replaced = self.peer_conns.get(peer).copied().flatten();
+                        if let Some(old) = replaced {
                             ctl.close(old);
                         }
                         if let Some(slot) = self.peer_conns.get_mut(peer) {
@@ -320,6 +341,9 @@ impl Handler for MainHandler {
                         self.publish_links();
                         let (mut net, core) = MainHandler::net(ctl, self);
                         core.on_peer_up(&mut net);
+                        if replaced.is_some() {
+                            core.on_peer_down(&mut net, peer);
+                        }
                     }
                     None => {
                         // Registration failed: tell the dialer to retry.
@@ -338,7 +362,7 @@ impl Handler for MainHandler {
 
     fn on_tick(&mut self, ctl: &mut Ctl) {
         let (mut net, core) = MainHandler::net(ctl, self);
-        core.fire_expired(&mut net);
+        core.fire_expired(&mut net, Instant::now());
     }
 
     fn next_deadline(&mut self) -> Option<Instant> {

@@ -6,12 +6,20 @@
 //! behaviour — but over the wire codec of this crate, so an unmodified
 //! Correctables client drives it through [`crate::TcpBinding`].
 //!
-//! One deliberate divergence from the simulated replica: the simulator
-//! sends peer reads to exactly the `R-1` nearest peers (it knows the
-//! topology), while this server fans the peer read out to **all** peers
-//! and completes at the first `R-1` responses. Over a real network that
-//! is what keeps an `R = 2` read available when one of three replicas is
-//! down — the whole point of running a quorum system on sockets.
+//! Like the simulated coordinator, it sends a quorum read's peer reads
+//! to the `R-1` nearest peers. The simulator knows the topology; this
+//! server measures it: per peer, a smoothed time from `PeerRead` to its
+//! answer, and it asks the peers with the lowest. A peer no read has
+//! asked for 100 ms gets one extra `PeerRead` alongside the next read,
+//! which does not wait for it, so a peer that got faster is seen. Two
+//! mechanisms keep an `R = 2` read available when a replica it asked
+//! goes away. A read waiting on a peer whose link is lost (or replaced
+//! by a redial) re-asks a live peer it has not asked yet, and fails
+//! `Unavailable` at once if none is left. A read still short of its
+//! quorum after `op_timeout / 16` (at most 500 ms) — the peer is hung,
+//! or cut off without its link closing — is hedged to every live peer
+//! it has not asked, and the time it waited counts against the silent
+//! peer's estimate.
 //!
 //! The protocol state machine itself lives in `crate::protocol`; the
 //! epoll reactor ([`crate::reactor`]) serves it — the listener, the
